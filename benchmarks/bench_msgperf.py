@@ -4,9 +4,10 @@
 Thin wrapper over the ``msgperf`` experiment spec.  Unlike the other
 benches, the headline numbers here are *wall-clock* and therefore
 machine-dependent: the spec is gate="shape", so ``scripts/check.sh``
-re-evaluates only the invariants — the 10x speedup floor on the signed
-soak, virtual-cost invariance across caching modes, and caches that
-actually get hit — while absolute throughput may drift with the host.
+re-evaluates only the invariants — the 5x speedup floor on the signed
+soak, virtual-cost invariance across caching modes, and signature caches
+that miss only during the warm-up — while absolute throughput may drift
+with the host.
 ``results/BENCH_msgperf.json`` is regenerated by this bench (or
 ``python -m repro experiments --run msgperf``).
 """

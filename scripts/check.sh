@@ -69,6 +69,12 @@ echo "== datagrid smoke =="
 # deterministic and both stacks must pick identical replica sources.
 python -m repro datagrid --smoke || status=1
 
+echo "== wallbench tests =="
+# The wall-clock benchmark's own tests (outside tier-1 testpaths): op
+# model, determinism, pinned fingerprints and the traced seams, so a
+# renamed seam such as RsaKeyPair.sign fails here.
+python -m pytest wallbench -q || status=1
+
 echo "== msgperf smoke =="
 # The message-path caching gate: cached must beat uncached and virtual
 # costs must be identical in both modes (asserted inside the run).

@@ -16,6 +16,7 @@ from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, SignatureError
 from repro.crypto.x509 import Certificate
 from repro.xmllib import canonicalize, element, text_of
 from repro.xmllib import ns
+from repro.xmllib.c14n import render_canonical
 from repro.xmllib.element import XmlElement, content_key
 from repro.xmllib.memo import ContentCache, memo_enabled
 
@@ -47,7 +48,9 @@ def _digest(target: XmlElement) -> str:
         cached = _DIGESTS.get(key)
         if cached is not None:
             return cached
-    payload = canonicalize(target).encode()
+    # The digest is cached below, so the target's text is not: the c14n
+    # cache would only ever miss on it.
+    payload = render_canonical(target).encode()
     value = base64.b64encode(hashlib.sha1(payload).digest()).decode()
     if memo_enabled():
         _DIGESTS.put(key, value)

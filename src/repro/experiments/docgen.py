@@ -176,7 +176,8 @@ The one wall-clock experiment (gate: shape): real elapsed time of the
 signed message path with the memoization layer on vs off.  The recorded
 numbers are machine-specific; the gate re-checks only the invariants —
 the soak speedup floor, bit-identical virtual costs with caching on/off,
-and cache hit counters.  The committed trajectory is
+and cache hit counters (the signature caches may miss only during the
+warm-up).  The committed trajectory is
 `results/BENCH_msgperf.json`.""",
 }
 

@@ -1396,6 +1396,8 @@ def _msgperf_artifacts(record: RunRecord) -> dict[str, str]:
 
 
 def _msgperf_claims(record: RunRecord) -> list[str]:
+    from repro.bench.msgperf import signature_cache_misses
+
     problems = []
     report = cell_values(record, run="all")
     soak = report["soak"]
@@ -1404,6 +1406,7 @@ def _msgperf_claims(record: RunRecord) -> list[str]:
     if not soak["cached"]["virtual_ms_per_op"] == soak["uncached"]["virtual_ms_per_op"] > 0:
         problems.append("caching changed the virtual costs")
     stats = report["cache_stats"]
+    problems.extend(signature_cache_misses(stats))
     if stats["dsig.sign"]["hits"] <= stats["dsig.sign"]["misses"]:
         problems.append("the signing cache was not exercised")
     if stats["dsig.verify"]["hits"] <= 0:
@@ -1419,7 +1422,11 @@ MSGPERF = ExperimentSpec(
     axes=(Axis("run", ("all",)),),
     measure=_measure_msgperf,
     invariants=(
-        Predicate("msgperf_claims", "speedup floor and virtual-cost invariance", fn=_msgperf_claims),
+        Predicate(
+            "msgperf_claims",
+            "speedup floor, no signature-cache misses after warm-up, virtual-cost invariance",
+            fn=_msgperf_claims,
+        ),
     ),
     gate="shape",
     to_figure=_msgperf_figure,

@@ -17,8 +17,11 @@ implemented here follows the spirit of Exclusive XML Canonicalization:
 
 Two structurally-equal trees therefore canonicalize to identical bytes —
 which also makes the canonical text a pure function of the tree's *content*,
-so whole-tree results are memoized in a content-keyed cache: the second
-message of a soak canonicalizes its (unchanged) body in one dict lookup.
+so :func:`canonicalize` memoizes whole-tree results in a content-keyed
+cache: the second message of a soak canonicalizes its (unchanged)
+SignedInfo in one dict lookup.  :func:`render_canonical` is the same
+writer without the cache, for callers that cache a value derived from the
+text instead.
 Mutating any node bumps version counters up the tree (see
 :mod:`repro.xmllib.element`), changing the content key, so a stale entry can
 never be replayed.  The writer itself is iterative and survives ~1000-deep
@@ -40,21 +43,30 @@ _C14N = ContentCache("c14n.text", capacity=8192)
 
 
 def canonicalize(root: XmlElement) -> str:
-    """Render ``root`` in the canonical form described above."""
+    """Render ``root`` in the canonical form described above, memoized."""
     enabled = memo_enabled()
     if enabled:
         key = content_key(root)
         cached = _C14N.get(key)
         if cached is not None:
             return cached
-    uris = collect_namespaces(root)
-    prefixes = _canonical_prefixes(uris)
-    parts: list[str] = []
-    _write(root, prefixes, parts)
-    text = "".join(parts)
+    text = render_canonical(root)
     if enabled:
         _C14N.put(key, text)
     return text
+
+
+def render_canonical(root: XmlElement) -> str:
+    """The canonical text of ``root``, always rendered afresh.
+
+    For callers that cache what they derive from the text under the same
+    content key (the XML-DSig reference digest): storing the text as well
+    would hold memory for entries that are never read.
+    """
+    prefixes = _canonical_prefixes(collect_namespaces(root))
+    parts: list[str] = []
+    _write(root, prefixes, parts)
+    return "".join(parts)
 
 
 def _canonical_prefixes(uris: list[str]) -> dict[str, str]:

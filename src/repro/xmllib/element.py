@@ -14,7 +14,10 @@ what lets ``canonicalize``/XML-DSig memoize per subtree while staying
 byte-identical under mutation — including mutation through aliased child
 references, since a child shared by two trees keeps a parent link into each.
 Parent links are weak so caching a signature subtree across many envelopes
-does not leak the envelopes.  Tags are fixed at construction (nothing in the
+does not leak the envelopes, and so are the containers' links back to their
+element: no tree holds a reference cycle, so a dropped message tree is freed
+by reference counting the moment its last reference goes, never left for
+the cyclic garbage collector.  Tags are fixed at construction (nothing in the
 tree may reassign ``node.tag``); all other mutation goes through the tracked
 containers or the ``children``/``attributes`` property setters.
 """
@@ -56,18 +59,32 @@ def _bump(origin: "XmlElement") -> None:
                 parents[:] = live
 
 
+def _bump_owner(container) -> None:
+    """Bump the element owning ``container``, if it is still alive.
+
+    A container outlives its element only when someone kept the container
+    alone; no tree can reach it then, so there is no memo to invalidate.
+    """
+    owner = container._owner()
+    if owner is not None:
+        _bump(owner)
+
+
 class _Children(list):
-    """Child list that maintains parent links and version bumps."""
+    """Child list that maintains parent links and version bumps.
+
+    ``_owner`` is a weak reference to the owning element.
+    """
 
     __slots__ = ("_owner",)
 
     def _adopt(self, child) -> None:
-        if isinstance(child, XmlElement):
-            child._parents.append(_ref(self._owner))
+        if isinstance(child, XmlElement) and self._owner() is not None:
+            child._parents.append(self._owner)
 
     def _orphan(self, child) -> None:
-        if isinstance(child, XmlElement):
-            owner = self._owner
+        owner = self._owner()
+        if isinstance(child, XmlElement) and owner is not None:
             parents = child._parents
             for i, ref in enumerate(parents):
                 if ref() is owner:
@@ -77,36 +94,36 @@ class _Children(list):
     def append(self, child) -> None:
         list.append(self, child)
         self._adopt(child)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def extend(self, items) -> None:
         items = list(items)
         list.extend(self, items)
         for child in items:
             self._adopt(child)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def insert(self, index, child) -> None:
         list.insert(self, index, child)
         self._adopt(child)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def remove(self, child) -> None:
         list.remove(self, child)
         self._orphan(child)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def pop(self, index=-1):
         child = list.pop(self, index)
         self._orphan(child)
-        _bump(self._owner)
+        _bump_owner(self)
         return child
 
     def clear(self) -> None:
         for child in self:
             self._orphan(child)
         list.clear(self)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def __setitem__(self, index, value) -> None:
         if isinstance(index, slice):
@@ -122,7 +139,7 @@ class _Children(list):
             list.__setitem__(self, index, value)
             self._orphan(removed)
             self._adopt(value)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def __delitem__(self, index) -> None:
         removed = list.__getitem__(self, index)
@@ -132,7 +149,7 @@ class _Children(list):
         else:
             self._orphan(removed)
         list.__delitem__(self, index)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def __iadd__(self, items):
         self.extend(items)
@@ -147,47 +164,50 @@ class _Children(list):
 
     def sort(self, *args, **kwargs) -> None:
         list.sort(self, *args, **kwargs)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def reverse(self) -> None:
         list.reverse(self)
-        _bump(self._owner)
+        _bump_owner(self)
 
 
 class _Attrs(dict):
-    """Attribute map whose writes bump the owning element's version."""
+    """Attribute map whose writes bump the owning element's version.
+
+    ``_owner`` is a weak reference to the owning element.
+    """
 
     __slots__ = ("_owner",)
 
     def __setitem__(self, key, value) -> None:
         dict.__setitem__(self, key, value)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def __delitem__(self, key) -> None:
         dict.__delitem__(self, key)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def pop(self, *args):
         result = dict.pop(self, *args)
-        _bump(self._owner)
+        _bump_owner(self)
         return result
 
     def popitem(self):
         result = dict.popitem(self)
-        _bump(self._owner)
+        _bump_owner(self)
         return result
 
     def clear(self) -> None:
         dict.clear(self)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def update(self, *args, **kwargs) -> None:
         dict.update(self, *args, **kwargs)
-        _bump(self._owner)
+        _bump_owner(self)
 
     def setdefault(self, key, default=None):
         result = dict.setdefault(self, key, default)
-        _bump(self._owner)
+        _bump_owner(self)
         return result
 
 
@@ -203,11 +223,12 @@ class XmlElement:
         children: Iterable["XmlElement | str"] | None = None,
     ) -> None:
         self.tag = QName.parse(tag)
+        owner = _ref(self)
         attrs = _Attrs()
-        attrs._owner = self
+        attrs._owner = owner
         self._attributes: _Attrs = attrs
         kids = _Children()
-        kids._owner = self
+        kids._owner = owner
         self._children: _Children = kids
         self._version = 0
         self._parents: list = []
@@ -230,7 +251,7 @@ class XmlElement:
         if value is self._attributes:
             return
         attrs = _Attrs()
-        attrs._owner = self
+        attrs._owner = _ref(self)
         for key, val in value.items():
             dict.__setitem__(attrs, QName.parse(key), val)
         self._attributes = attrs
@@ -248,7 +269,7 @@ class XmlElement:
         for child in current:
             current._orphan(child)
         kids = _Children()
-        kids._owner = self
+        kids._owner = _ref(self)
         list.extend(kids, value)
         for child in kids:
             kids._adopt(child)
@@ -396,11 +417,12 @@ def _blank(tag: QName, attributes: dict) -> XmlElement:
     """Fast internal constructor: pre-parsed tag, pre-validated attributes."""
     node = XmlElement.__new__(XmlElement)
     node.tag = tag
+    owner = _ref(node)
     attrs = _Attrs(attributes)
-    attrs._owner = node
+    attrs._owner = owner
     node._attributes = attrs
     kids = _Children()
-    kids._owner = node
+    kids._owner = owner
     node._children = kids
     node._version = 0
     node._parents = []

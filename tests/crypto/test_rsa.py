@@ -1,18 +1,35 @@
 """Unit and property tests for primes and RSA signatures."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import RsaKeyPair, SignatureError, generate_prime, is_probable_prime
+from repro.container.security import Credentials
+from repro.crypto import (
+    CertificateAuthority,
+    RsaKeyPair,
+    RsaPublicKey,
+    SignatureError,
+    generate_prime,
+    is_probable_prime,
+)
+from repro.crypto.rsa import _emsa_pkcs1_v15
 
 
 # A small keypair generated once per test module: keygen is the slow part.
 @pytest.fixture(scope="module")
 def keypair():
     return RsaKeyPair.generate(bits=512, seed=42)
+
+
+def textbook_sign(keypair: RsaKeyPair, message: bytes, hash_name: str) -> bytes:
+    """The reference signature: ``m^d mod n`` with the full private exponent."""
+    k = keypair.byte_length
+    m = int.from_bytes(_emsa_pkcs1_v15(message, k, hash_name), "big")
+    return pow(m, keypair.d, keypair.n).to_bytes(k, "big")
 
 
 class TestPrimes:
@@ -117,3 +134,72 @@ class TestSignatures:
         sig = keypair.sign(m1)
         with pytest.raises(SignatureError):
             keypair.public.verify(m2, sig)
+
+
+class TestCrtSigning:
+    """``sign`` works modulo each prime; it must equal the textbook formula."""
+
+    @pytest.mark.parametrize("seed", [7, 101, 201, 301])
+    @pytest.mark.parametrize("hash_name", ["sha1", "sha256"])
+    def test_equals_textbook_signature_1024_bit(self, seed, hash_name):
+        keypair = RsaKeyPair.generate(bits=1024, seed=seed)
+        message = f"<SignedInfo seed={seed}/>".encode()
+        assert keypair.sign(message, hash_name) == textbook_sign(keypair, message, hash_name)
+
+    @given(st.binary(max_size=256), st.sampled_from(["sha1", "sha256"]))
+    @settings(max_examples=50, deadline=None)
+    def test_property_equals_textbook_signature(self, message, hash_name):
+        keypair = RsaKeyPair.generate(bits=512, seed=42)
+        assert keypair.sign(message, hash_name) == textbook_sign(keypair, message, hash_name)
+
+    @pytest.mark.parametrize(
+        ("bits", "seed", "fingerprint"),
+        [
+            (1024, 7, "56f8d90dea768a82"),
+            (1024, 101, "11a4771b28db8830"),
+            (1024, 201, "8d64cbf763fe9998"),
+            (512, 42, "98bcd3d3b724206a"),
+        ],
+    )
+    def test_generated_keys_are_unchanged(self, bits, seed, fingerprint):
+        assert RsaKeyPair.generate(bits=bits, seed=seed).public.fingerprint() == fingerprint
+
+    def test_crt_values_derive_from_the_primes(self, keypair):
+        p, q, d = keypair.p, keypair.q, keypair.d
+        assert p * q == keypair.n
+        assert (keypair.dp, keypair.dq) == (d % (p - 1), d % (q - 1))
+        assert keypair.qinv * q % p == 1
+
+    @pytest.mark.parametrize("name", ["dp", "dq", "qinv"])
+    def test_corrupted_crt_value_raises(self, keypair, name):
+        broken = dataclasses.replace(keypair, **{name: getattr(keypair, name) + 1})
+        with pytest.raises(SignatureError, match="public-exponent"):
+            broken.sign(b"m")
+
+    def test_check_does_not_count_as_a_verification(self, keypair, monkeypatch):
+        def verify(*args, **kwargs):
+            raise AssertionError("sign went through RsaPublicKey.verify")
+
+        monkeypatch.setattr(RsaPublicKey, "verify", verify)
+        keypair.sign(b"m")
+
+
+class TestPrivateMaterialStaysOutOfRepr:
+    def test_keypair_repr_shows_only_the_public_half(self, keypair):
+        text = repr(keypair)
+        assert str(keypair.n) in text
+        for secret in (keypair.d, keypair.p, keypair.q, keypair.dp, keypair.dq, keypair.qinv):
+            assert str(secret) not in text
+
+    def test_credentials_repr_hides_d_and_p(self):
+        ca = CertificateAuthority.create(seed=7)
+        certificate, keypair = ca.issue_identity("alice", seed=11)
+        text = repr(Credentials(certificate, keypair))
+        assert str(keypair.d) not in text
+        assert str(keypair.p) not in text
+
+    def test_equality_and_hash_still_cover_the_key(self):
+        k1 = RsaKeyPair.generate(bits=512, seed=5)
+        k2 = dataclasses.replace(k1)
+        assert k1 == k2 and hash(k1) == hash(k2)
+        assert k1 != dataclasses.replace(k1, d=k1.d + 1)

@@ -17,10 +17,12 @@ from repro.apps.counter.deploy import (
     CounterScenario,
     build_wsrf_rig,
 )
+from repro.bench.msgperf import WARMUP_SIGNATURE_MISSES, run_soak, signature_cache_misses
 from repro.container.security import SecurityMode
-from repro.crypto import CertificateAuthority, sign_element
+from repro.crypto import CertificateAuthority, sign_element, verify_element
 from repro.sim.costs import CostModel
 from repro.xmllib import element
+from repro.xmllib.element import content_key
 from repro.xmllib.memo import (
     cache_stats,
     caching_disabled,
@@ -80,6 +82,31 @@ class TestTwoMessageSoak:
         body.append("mutated")
         sign_element(body, keypair, cert)
         assert get_cache("dsig.sign").stats.misses == 2
+
+    def test_digest_target_text_is_not_cached(self):
+        # dsig.digest caches the only value derived from a signed body's
+        # canonical text, so c14n.text keeps SignedInfo and TBS text only.
+        clear_caches()
+        ca = CertificateAuthority.create(seed=7)
+        cert, keypair = ca.issue_identity("alice", seed=11)
+        body = element("{urn:t}Body", "fresh payload")
+        verify_element(body, sign_element(body, keypair, cert), keypair.public)
+        key = content_key(body)
+        assert get_cache("c14n.text").get(key) is None
+        assert get_cache("dsig.digest").get(key) is not None
+
+
+class TestSoakMissGuard:
+    def test_cached_soak_misses_only_during_warm_up(self):
+        reset_cache_stats()
+        run_soak(5)
+        stats = cache_stats()
+        assert signature_cache_misses(stats) == []
+        stats["dsig.verify"]["misses"] += 1
+        assert signature_cache_misses(stats) == [
+            f"dsig.verify missed after the warm-up ({WARMUP_SIGNATURE_MISSES + 1} misses, "
+            f"expected {WARMUP_SIGNATURE_MISSES})"
+        ]
 
 
 class TestCachesAreWallClockOnly:

@@ -1,8 +1,11 @@
 """Unit tests for the element tree."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.xmllib import QName, XmlElement, element, text_of
+from repro.xmllib import QName, XmlElement, element, parse_xml, text_of
 
 
 class TestConstruction:
@@ -91,6 +94,55 @@ class TestEqualityAndCopy:
         assert original.find("a").text() == "x"  # type: ignore[union-attr]
         assert original.get("id") == "1"
         assert not original.structurally_equal(clone)
+
+
+def freed_by_refcount(make) -> bool:
+    """True if the tree ``make`` returns, and its first child element, are
+    freed as soon as the tree is dropped, with the cyclic collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree = make()
+        probes = [weakref.ref(tree), weakref.ref(next(tree.element_children()))]
+        del tree
+        return all(probe() is None for probe in probes)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestNoReferenceCycles:
+    """Containers link back to their element weakly, so no tree is a cycle."""
+
+    def test_built_tree(self):
+        assert freed_by_refcount(lambda: element("r", element("a", "x", attrs={"k": "v"}), "t"))
+
+    def test_parsed_tree(self):
+        assert freed_by_refcount(lambda: parse_xml('<r a="1"><b>x</b><c/></r>'))
+
+    def test_copied_tree(self):
+        original = element("r", element("a", element("b")))
+        assert freed_by_refcount(original.copy)
+
+    def test_mutated_tree(self):
+        def make():
+            tree = element("r", element("a"))
+            tree.children.append(element("b"))
+            tree.attributes = {"k": "v"}
+            tree.children = [element("c"), *tree.children]
+            return tree
+
+        assert freed_by_refcount(make)
+
+    def test_container_outliving_its_element_stays_usable(self):
+        kids = element("r", element("a")).children
+        attrs = element("r").attributes
+        kids.append(element("b"))
+        kids.pop(0)
+        attrs["k"] = "v"
+        assert [child.tag.local for child in kids] == ["b"]
+        assert kids[0]._parents == []
+        assert attrs["k"] == "v"
 
 
 class TestTextOf:
