@@ -1,5 +1,6 @@
 #!/bin/sh
-# The CI gate, tox-free: tier-1 tests + repro-lint in one command.
+# The CI gate, tox-free: tier-1 tests, repro-lint, conformance, the
+# wall-clock benchmark's tests and the experiments gate in one command.
 #
 #   scripts/check.sh              # run everything
 #   scripts/check.sh --soak      # also run the large conformance sweeps
@@ -53,32 +54,11 @@ else
     python -m repro conformance || status=1
 fi
 
-echo "== bench smoke =="
-python -m repro hello || status=1
-
-echo "== xmldb smoke =="
-python -m repro xmldb || status=1
-
-echo "== loadgen smoke =="
-# Fixed seed, both stacks, run twice inside the command: fails unless the
-# kernel's concurrent schedule reproduces identical percentiles.
-python -m repro loadgen --smoke || status=1
-
-echo "== datagrid smoke =="
-# The layered-services gate: the fixed staging workload must be
-# deterministic and both stacks must pick identical replica sources.
-python -m repro datagrid --smoke || status=1
-
 echo "== wallbench tests =="
 # The wall-clock benchmark's own tests (outside tier-1 testpaths): op
 # model, determinism, pinned fingerprints and the traced seams, so a
 # renamed seam such as RsaKeyPair.sign fails here.
 python -m pytest wallbench -q || status=1
-
-echo "== msgperf smoke =="
-# The message-path caching gate: cached must beat uncached and virtual
-# costs must be identical in both modes (asserted inside the run).
-python -m repro msgperf --smoke || status=1
 
 echo "== experiments smoke =="
 # Re-run the smoke subset of the declarative experiment grid and gate it
@@ -88,14 +68,17 @@ python -m repro experiments --smoke || status=1
 echo "== experiments regression gate =="
 # Re-measure experiment grids and compare against the committed records:
 # exact-gate specs must match bit-identically (ordering flips, invariant
-# violations and >tolerance drift all fail); shape-gate specs (msgperf,
-# wall-clock) are checked structurally.  --check-docs additionally fails
-# when EXPERIMENTS.md is stale; regenerate with:
+# violations and >tolerance drift all fail); the shape-gate spec (msgperf,
+# wall-clock) must keep the record's numeric leaves and its invariants.
+# loadgen re-runs the kernel's concurrent schedule, datagrid the declared
+# services, trace_spans the Figure-1 span trees and xmldb_scaling the
+# index planner.  --check-docs additionally fails when EXPERIMENTS.md is
+# stale; regenerate with:
 #   python -m repro experiments --run all && python -m repro experiments --docs
 if [ "$soak" = 1 ]; then
     python -m repro experiments --soak --check-docs || status=1
 else
-    python -m repro experiments --check datagrid loadgen msgperf --check-docs || status=1
+    python -m repro experiments --check datagrid loadgen msgperf trace_spans xmldb_scaling --check-docs || status=1
 fi
 
 exit $status

@@ -6,8 +6,9 @@ stacks implemented from scratch, the substrates they stand on (XML infoset
 + c14n + XPath, pure-Python WS-Security, an Xindice-like XML database, a
 calibrated virtual-time network), the paper's two evaluation applications
 (the counter "hello world" and Grid-in-a-Box), and a benchmark harness that
-regenerates every figure.  Start with README.md; ``python -m repro``
-regenerates the figures at the terminal.
+regenerates every figure.  Start with README.md; ``python -m repro
+experiments --run NAME --results DIR`` regenerates and prints a figure at
+the terminal.
 
 Subpackage map (details in DESIGN.md):
 
@@ -27,7 +28,7 @@ Subpackage map (details in DESIGN.md):
 ``repro.wsdl``       WSDL generation / inspection / proxy generation
 ``repro.bridge``     stack-switching facades (extension)
 ``repro.apps``       the counter and Grid-in-a-Box applications
-``repro.bench``      figure generators, workload generator, reporting
+``repro.bench``      the measurements behind each experiment, reporting
 ================  ===========================================================
 """
 

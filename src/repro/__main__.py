@@ -1,154 +1,23 @@
-"""Command-line figure regeneration: ``python -m repro [figure...]``.
-
-With no arguments, regenerates every figure from the paper's evaluation and
-prints it as a table.  Arguments select individual figures:
-``fig2 fig3 fig4 fig6 sweep switch reliab xmldb hello``.
+"""Command-line entry point: ``python -m repro experiments|conformance``.
 
 ``python -m repro experiments`` drives the declarative experiment engine
-(see :mod:`repro.experiments.cli`): ``--list``/``--run``/``--resume``
-manage the recorded grids, ``--check``/``--smoke``/``--soak`` gate fresh
-runs against the committed records, and ``--docs``/``--check-docs``
-regenerate EXPERIMENTS.md from them.
+(see :mod:`repro.experiments.cli`), the one way to regenerate, print and
+gate the paper's figures and every other declared sweep:
+``--list``/``--run``/``--resume`` manage the recorded grids,
+``--check``/``--smoke``/``--soak`` gate fresh runs against the committed
+records, and ``--docs``/``--check-docs`` regenerate EXPERIMENTS.md from
+them.  ``--run NAME --results DIR`` prints a figure without touching the
+committed ``results/``.
 
-``python -m repro conformance`` instead runs the differential dual-stack
-conformance sweep (see :mod:`repro.testkit.cli`), ``python -m repro
-loadgen`` the open-loop kernel load generator (see
-:mod:`repro.bench.loadgen`; ``--smoke`` is the CI determinism gate),
-``python -m repro datagrid`` the declared-services replica-staging sweep
-(see :mod:`repro.bench.datagrid`), and ``python -m repro msgperf`` the
-wall-clock message-path throughput bench (see :mod:`repro.bench.msgperf`;
-``--smoke`` and ``--check`` are the CI gates).
-
-``hello`` is the CI bench smoke: one signed round-trip per stack through
-the filter pipeline, reported per pipeline stage plus the full span tree.
+``python -m repro conformance`` runs the differential dual-stack
+conformance sweep (see :mod:`repro.testkit.cli`).
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.bench import (
-    format_figure_table,
-    hello_world_figure,
-    measure_giab,
-    measure_hello_world,
-)
-from repro.container import SecurityMode
-
-
-def _fig2() -> None:
-    print(format_figure_table(
-        "Figure 2: Hello World, no security", hello_world_figure(SecurityMode.NONE)
-    ))
-
-
-def _fig3() -> None:
-    print(format_figure_table(
-        "Figure 3: Hello World, HTTPS", hello_world_figure(SecurityMode.HTTPS)
-    ))
-
-
-def _fig4() -> None:
-    print(format_figure_table(
-        "Figure 4: Hello World, X.509 signing", hello_world_figure(SecurityMode.X509)
-    ))
-
-
-def _fig6() -> None:
-    print(format_figure_table(
-        "Figure 6: Grid-in-a-Box comparison (X.509)",
-        {
-            "WS-Transfer / WS-Eventing": measure_giab("transfer"),
-            "WSRF.NET": measure_giab("wsrf"),
-        },
-    ))
-
-
-def _sweep() -> None:
-    table = {}
-    for mode in (SecurityMode.NONE, SecurityMode.X509, SecurityMode.HTTPS):
-        for colocated in (True, False):
-            for stack in ("transfer", "wsrf"):
-                placement = "co-located" if colocated else "distributed"
-                stack_name = "WSRF.NET" if stack == "wsrf" else "WS-Transfer"
-                table[f"{mode.value}/{placement}/{stack_name}"] = measure_hello_world(
-                    stack, mode, colocated
-                )
-    print(format_figure_table("Six-scenario sweep", table))
-
-
-def _switch() -> None:
-    from repro.bench.switching import switching_figure
-
-    print(format_figure_table(
-        "Stack switching: native vs bridged", switching_figure()
-    ))
-
-
-def _reliab() -> None:
-    from repro.bench.reliability import LOSS_RATES, run_counter_reliability
-
-    table = {}
-    for stack, label in (("wsrf", "WSRF.NET"), ("transfer", "WS-Transfer")):
-        clean = None
-        for rate in LOSS_RATES:
-            cell = run_counter_reliability(stack, rate)
-            clean = clean if clean is not None else cell.virtual_ms
-            table[f"{label} @ {rate:.0%} loss"] = {
-                "virtual ms": cell.virtual_ms,
-                "overhead x": cell.virtual_ms / clean,
-                "delivered": float(cell.notifications_delivered),
-                "retransmits": float(
-                    cell.notification_retransmissions + cell.request_retransmissions
-                ),
-                "dup suppressed": float(cell.duplicates_suppressed),
-                "dead-lettered": float(cell.dead_letters_total),
-            }
-    print(format_figure_table(
-        "Reliability: counter notifications under loss", table
-    ))
-
-
-def _xmldb() -> None:
-    """XML DB scaling smoke: indexed vs scan query cost over 10..5000 docs."""
-    from repro.bench import format_figure_table, xmldb_scaling_figure
-
-    print(format_figure_table(
-        "XML DB scaling: indexed query vs collection scan", xmldb_scaling_figure()
-    ))
-
-
-def _hello() -> None:
-    """Bench smoke: one signed round-trip per stack, per pipeline stage."""
-    from repro.bench import (
-        TRACE_SERIES,
-        format_span_tree,
-        stage_breakdown,
-        trace_round_trip,
-    )
-
-    trees = {label: trace_round_trip(stack) for label, stack in TRACE_SERIES}
-    print(format_figure_table(
-        "Bench smoke: signed distributed Get per pipeline stage",
-        {label: stage_breakdown(ops["Get"]) for label, ops in trees.items()},
-    ))
-    label = "WSRF.NET"
-    print()
-    print(f"{label} Get span tree:")
-    print(format_span_tree(trees[label]["Get"]))
-
-
-FIGURES = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig6": _fig6,
-    "sweep": _sweep,
-    "switch": _switch,
-    "reliab": _reliab,
-    "xmldb": _xmldb,
-    "hello": _hello,
-}
+COMMANDS = ("experiments", "conformance")
 
 
 def main(argv: list[str]) -> int:
@@ -160,29 +29,9 @@ def main(argv: list[str]) -> int:
         from repro.testkit.cli import conformance_main
 
         return conformance_main(argv[1:])
-    if argv and argv[0] == "loadgen":
-        from repro.bench.loadgen import loadgen_main
-
-        return loadgen_main(argv[1:])
-    if argv and argv[0] == "datagrid":
-        from repro.bench.datagrid import datagrid_main
-
-        return datagrid_main(argv[1:])
-    if argv and argv[0] == "msgperf":
-        from repro.bench.msgperf import msgperf_main
-
-        return msgperf_main(argv[1:])
-    wanted = argv or [name for name in FIGURES if name != "switch"]
-    unknown = [name for name in wanted if name not in FIGURES]
-    if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(FIGURES)}", file=sys.stderr)
-        return 2
-    for index, name in enumerate(wanted):
-        if index:
-            print()
-        FIGURES[name]()
-    return 0
+    got = f"unknown command {argv[0]!r}" if argv else "no command given"
+    print(f"{got}; expected one of: {', '.join(COMMANDS)}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

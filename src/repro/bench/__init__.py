@@ -1,9 +1,10 @@
-"""Benchmark harness: regenerates every figure in the paper's evaluation.
+"""Benchmark substrate: the measurements behind every declared experiment.
 
 Numbers come off the virtual clock (DESIGN.md §2): each measured operation
 is bracketed with the metrics recorder and reported in virtual milliseconds,
-the same unit as the paper's y-axes.  The pytest-benchmark targets in
-``benchmarks/`` additionally measure real wall time of the same operations.
+the same unit as the paper's y-axes.  The experiment specs in
+:mod:`repro.experiments.registry` call these functions per grid cell;
+``python -m repro experiments`` runs, prints and gates them.
 """
 
 from repro.bench.runner import measure_virtual
@@ -14,21 +15,13 @@ from repro.bench.report import (
     format_bar_chart,
     format_figure_table,
     format_span_tree,
-    spans_to_csv,
 )
 from repro.bench.xmldb import (
     build_corpus,
     query_cost,
     scan_cost_model,
-    xmldb_scaling_figure,
 )
-from repro.bench.trace import (
-    TRACE_SERIES,
-    span_figure,
-    span_trees,
-    stage_breakdown,
-    trace_round_trip,
-)
+from repro.bench.trace import stage_breakdown, trace_round_trip
 
 __all__ = [
     "measure_virtual",
@@ -41,14 +34,9 @@ __all__ = [
     "format_figure_table",
     "format_bar_chart",
     "format_span_tree",
-    "spans_to_csv",
     "build_corpus",
     "query_cost",
     "scan_cost_model",
-    "xmldb_scaling_figure",
-    "TRACE_SERIES",
-    "span_figure",
-    "span_trees",
     "stage_breakdown",
     "trace_round_trip",
 ]

@@ -14,21 +14,14 @@ layered framework's benchmark-shaped proof:
   counter and GiaB measurements.
 
 Everything derives from the virtual clock, so
-``results/BENCH_datagrid.json`` is byte-reproducible and
-``scripts/check.sh`` diffs a fresh regeneration against the committed
-file.  Run via ``python -m repro datagrid`` (``--smoke`` is the CI
-determinism gate) or the pytest module ``benchmarks/bench_datagrid.py``.
+``results/BENCH_datagrid.json`` is byte-reproducible; the ``datagrid``
+experiment spec records it and ``python -m repro experiments --check
+datagrid`` gates a fresh run against it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-
 from repro.apps.datagrid import DatagridScenario, build_datagrid
-from repro.bench.report import format_figure_table
-
-STACKS = ("wsrf", "transfer")
 
 #: The staging workload's expected source decisions, shared by every cell
 #: (documented here because they *are* the benchmark's correctness claim).
@@ -73,91 +66,3 @@ def run_staging(stack: str, scenario: DatagridScenario) -> dict:
         "events_replicas": events_at,
         "se1.cern_files": cern_files,
     }
-
-
-def sweep() -> dict:
-    """Both stacks across all six cells; the BENCH_datagrid.json payload."""
-    cells: dict[str, dict] = {}
-    for scenario in DatagridScenario.all_six():
-        cells[scenario.label] = {
-            stack: run_staging(stack, scenario) for stack in STACKS
-        }
-    return {
-        "config": {
-            "workload": "replica staging",
-            "registrations": 3,
-            "replications": 2,
-            "stage_ins": 2,
-            "expected_sources": EXPECTED_SOURCES,
-        },
-        "cells": cells,
-    }
-
-
-def format_sweep(report: dict) -> str:
-    table = {
-        f"{cell}/{stack}": {
-            "virtual ms": row["virtual_ms"],
-            "link ms": row["link_ms"],
-            "messages": float(row["messages"]),
-        }
-        for cell, stacks in report["cells"].items()
-        for stack, row in stacks.items()
-    }
-    return format_figure_table("Datagrid replica staging (per cell/stack)", table)
-
-
-def smoke() -> int:
-    """CI gate: one cell twice per stack — deterministic, and the shared
-    logic layer must make both stacks pick identical sources."""
-    scenario = DatagridScenario()
-    failures = 0
-    rows = {}
-    for stack in STACKS:
-        first = run_staging(stack, scenario)
-        second = run_staging(stack, scenario)
-        if first != second:
-            print(f"FAIL: {stack} staging run is not deterministic")
-            failures += 1
-        if first["sources"] != EXPECTED_SOURCES:
-            print(f"FAIL: {stack} source choices {first['sources']}")
-            failures += 1
-        rows[stack] = first
-    observable = {
-        stack: (row["sources"], row["events_replicas"], row["se1.cern_files"])
-        for stack, row in rows.items()
-    }
-    if observable["wsrf"] != observable["transfer"]:
-        print("FAIL: stacks disagree on observable staging outcomes")
-        failures += 1
-    if not failures:
-        print(
-            "datagrid smoke: 4 runs, identical sources on both stacks, "
-            f"wsrf {rows['wsrf']['virtual_ms']:.1f} ms / "
-            f"transfer {rows['transfer']['virtual_ms']:.1f} ms virtual"
-        )
-    return 1 if failures else 0
-
-
-def datagrid_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro datagrid",
-        description="Replica-staging sweep over the declared datagrid services",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="fixed-workload determinism check (CI gate)")
-    parser.add_argument("--json", metavar="PATH",
-                        help="also write the sweep report as JSON")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        return smoke()
-
-    report = sweep()
-    print(format_sweep(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0

@@ -1,26 +1,23 @@
-"""Open-loop load generation against the counter rigs (+ the CLI).
+"""Open-loop load generation against the counter rigs.
 
 Binds the generic engine in :mod:`repro.sim.loadgen` to the paper's two
 stacks: a seeded request mix drawn from the testkit op-DSL
 (:class:`~repro.testkit.ops.GetCounter` / ``SetCounter``) is marshalled
 into real SOAP requests and spawned on the deployment's kernel at
-pre-scheduled Poisson/uniform arrival instants.  Overlapping requests
+pre-scheduled Poisson arrival instants.  Overlapping requests
 interleave on the shared virtual clock; the server host's worker pool
 queues what it cannot serve, and the report shows what the paper's
 single-request bars cannot: p95 latency growth and queue depth as
 offered load approaches the stack's service rate.
 
-``python -m repro loadgen`` prints a sweep; ``--smoke`` runs a fixed-seed
-configuration twice on both stacks and fails unless the percentile
-output is identical — the CI determinism gate for the whole kernel.
+The ``loadgen`` experiment spec sweeps :data:`BENCH_RATES` on both stacks
+(``python -m repro experiments --run loadgen``) and records
+``results/BENCH_loadgen.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-from typing import Sequence
 
 from repro.apps.counter.deploy import (
     SERVER_HOST,
@@ -38,7 +35,6 @@ from repro.wsrf.properties import actions as rp_actions
 from repro.xmllib import element, ns
 
 STACKS = ("wsrf", "transfer")
-STACK_LABELS = {"wsrf": "WSRF.NET", "transfer": "WS-Transfer"}
 
 #: Offered loads swept by the BENCH trajectory (requests per virtual
 #: second).  The high end saturates a single worker in X.509 mode, so the
@@ -47,9 +43,19 @@ BENCH_RATES = (10.0, 20.0, 40.0)
 BENCH_REQUESTS = 60
 BENCH_SEED = 1405
 
+#: The fixed rig every run drives: the paper's hardest counter mode
+#: (X.509 signing, distributed), one server worker with a bounded queue,
+#: Poisson arrivals and an 80/20 Get/Set mix.
+MODE = SecurityMode.X509
+COLOCATED = False
+WORKERS = 1
+QUEUE_LIMIT = 64
+PROCESS = "poisson"
+READ_FRACTION = 0.8
+
 
 def draw_ops(
-    n: int, seed: int, read_fraction: float = 0.8, name: str = "c0"
+    n: int, seed: int, read_fraction: float = READ_FRACTION, name: str = "c0"
 ) -> list[Op]:
     """A seeded get/set mix over one counter, as op-DSL values."""
     if not 0.0 <= read_fraction <= 1.0:
@@ -105,26 +111,20 @@ def run_load(
     *,
     rate_per_sec: float,
     requests: int = BENCH_REQUESTS,
-    process: str = "poisson",
     seed: int = BENCH_SEED,
-    mode: SecurityMode = SecurityMode.X509,
-    colocated: bool = False,
-    workers: int = 1,
-    queue_limit: int = 64,
-    read_fraction: float = 0.8,
 ) -> LoadResult:
     """One open-loop run: a fresh rig, one counter, ``requests`` arrivals."""
     if stack not in STACKS:
         raise SimError(f"unknown stack {stack!r}; expected one of {STACKS}")
-    scenario = CounterScenario(mode, colocated)
+    scenario = CounterScenario(MODE, COLOCATED)
     rig = build_wsrf_rig(scenario) if stack == "wsrf" else build_transfer_rig(scenario)
     counter = rig.client.create(0)
     kernel = rig.deployment.network.kernel
-    kernel.configure_pool(SERVER_HOST, workers, queue_limit)
+    kernel.configure_pool(SERVER_HOST, WORKERS, QUEUE_LIMIT)
     soap = rig.client.soap
-    ops = draw_ops(requests, seed, read_fraction)
+    ops = draw_ops(requests, seed)
     arrivals = arrival_times(
-        requests, rate_per_sec, process, seed, start=kernel.clock.now
+        requests, rate_per_sec, PROCESS, seed, start=kernel.clock.now
     )
 
     def make_task(i: int):
@@ -135,141 +135,3 @@ def run_load(
         kernel, arrivals, make_task,
         offered_per_sec=rate_per_sec, name=f"{stack}-req",
     )
-
-
-def sweep(
-    rates: Sequence[float] = BENCH_RATES,
-    *,
-    requests: int = BENCH_REQUESTS,
-    process: str = "poisson",
-    seed: int = BENCH_SEED,
-    workers: int = 1,
-    queue_limit: int = 64,
-) -> dict:
-    """The BENCH_loadgen trajectory: offered load vs latency, both stacks.
-
-    Everything in the result derives from the virtual clock and the fixed
-    seed, so regenerating the file on any machine yields identical bytes
-    — which is exactly how ``scripts/check.sh`` diffs it.
-    """
-    points: dict[str, list[dict]] = {}
-    for stack in STACKS:
-        points[stack] = []
-        for rate in rates:
-            result = run_load(
-                stack,
-                rate_per_sec=rate,
-                requests=requests,
-                process=process,
-                seed=seed,
-                workers=workers,
-                queue_limit=queue_limit,
-            )
-            points[stack].append(result.summary())
-    return {
-        "title": "Open-loop counter load: offered load vs latency (X.509, distributed)",
-        "config": {
-            "requests_per_point": requests,
-            "process": process,
-            "seed": seed,
-            "workers": workers,
-            "queue_limit": queue_limit,
-            "mode": "x509",
-            "placement": "distributed",
-            "unit": "virtual ms",
-        },
-        "stacks": points,
-    }
-
-
-def format_sweep(report: dict) -> str:
-    lines = [report["title"]]
-    header = (
-        f"{'stack':<14}{'offered/s':>10}{'p50 ms':>10}{'p95 ms':>10}"
-        f"{'p99 ms':>10}{'done/s':>10}{'msg/s':>10}{'maxQ':>6}{'rej':>5}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for stack, rows in report["stacks"].items():
-        for row in rows:
-            latency = row["latency"]
-            depth = max(row["max_queue_depth"].values(), default=0)
-            lines.append(
-                f"{STACK_LABELS[stack]:<14}"
-                f"{row['offered_per_sec']:>10.1f}"
-                f"{latency['p50_ms']:>10.2f}"
-                f"{latency['p95_ms']:>10.2f}"
-                f"{latency['p99_ms']:>10.2f}"
-                f"{row['throughput_per_sec']:>10.2f}"
-                f"{row['messages_per_sec']:>10.2f}"
-                f"{depth:>6d}"
-                f"{row['rejected']:>5d}"
-            )
-    return "\n".join(lines)
-
-
-def smoke(seed: int = BENCH_SEED) -> int:
-    """The CI determinism gate: same seed twice must be byte-identical."""
-    config = dict(rate_per_sec=30.0, requests=40, seed=seed)
-    failures = 0
-    for stack in STACKS:
-        first = run_load(stack, **config).summary()
-        second = run_load(stack, **config).summary()
-        if first != second:
-            print(f"loadgen smoke FAILED: {stack} runs diverged with seed {seed}")
-            print(f"  first:  {json.dumps(first, sort_keys=True)}")
-            print(f"  second: {json.dumps(second, sort_keys=True)}")
-            failures += 1
-            continue
-        queued = first["queueing"].get("max_ms", 0.0)
-        print(
-            f"loadgen smoke: {STACK_LABELS[stack]} deterministic "
-            f"(p95 {first['latency']['p95_ms']:.2f} ms, "
-            f"max queueing {queued:.2f} ms, "
-            f"{first['completed']} completed)"
-        )
-    return 1 if failures else 0
-
-
-def loadgen_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro loadgen",
-        description="Open-loop load generation over the sim kernel",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="fixed-seed determinism check (CI gate)")
-    parser.add_argument("--stack", choices=(*STACKS, "both"), default="both")
-    parser.add_argument("--rate", type=float, action="append",
-                        help="offered load in requests per virtual second "
-                             "(repeatable; default the BENCH sweep rates)")
-    parser.add_argument("--requests", type=int, default=BENCH_REQUESTS)
-    parser.add_argument("--process", choices=("poisson", "uniform"),
-                        default="poisson")
-    parser.add_argument("--seed", type=int, default=BENCH_SEED)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--queue-limit", type=int, default=64)
-    parser.add_argument("--json", metavar="PATH",
-                        help="also write the sweep report as JSON")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        return smoke(args.seed)
-
-    rates = tuple(args.rate) if args.rate else BENCH_RATES
-    report = sweep(
-        rates,
-        requests=args.requests,
-        process=args.process,
-        seed=args.seed,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-    )
-    if args.stack != "both":
-        report["stacks"] = {args.stack: report["stacks"][args.stack]}
-    print(format_sweep(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0

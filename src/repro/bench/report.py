@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import re
 
 
@@ -15,19 +14,6 @@ def slugify(title: str) -> str:
     marks in generated filenames.
     """
     return re.sub(r"[^a-z0-9]+", "_", title.lower()).strip("_")
-
-
-def write_figure_csv(results_dir: str, title: str, figure: dict[str, dict[str, float]]) -> str:
-    """Write one figure's CSV under ``results_dir``; returns the path.
-
-    The single writer both the benchmark conftest and the experiment
-    engine go through, so the bytes cannot disagree.
-    """
-    os.makedirs(results_dir, exist_ok=True)
-    path = os.path.join(results_dir, f"{slugify(title)}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(figure_to_csv(figure))
-    return path
 
 
 def format_figure_table(
@@ -104,18 +90,6 @@ def format_span_tree(root, unit: str = "ms") -> str:
         detail = f"  [{span.detail}]" if span.detail else ""
         lines.append(f"{label.ljust(32)} {span.elapsed_ms:8.2f} {unit}{detail}")
     return "\n".join(lines)
-
-
-def spans_to_csv(roots: dict[str, "object"]) -> str:
-    """Flatten labelled span trees to CSV rows (one row per span)."""
-    lines = ["series,depth,span,started_at,ended_at,elapsed_ms,detail"]
-    for label, root in roots.items():
-        for depth, span in root.walk():
-            lines.append(
-                f"{label},{depth},{span.name},{span.started_at:.3f},"
-                f"{span.ended_at:.3f},{span.elapsed_ms:.3f},{span.detail}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 def format_bar_chart(

@@ -71,8 +71,3 @@ def measure_route(route: str) -> dict[str, float]:
         client = TransferCounterClient(wsrf_rig.client.soap, facade.address)
         return measure_ops(wsrf_rig.deployment, client, "delete")
     raise ValueError(f"unknown route {route!r}")
-
-
-def switching_figure() -> dict[str, dict[str, float]]:
-    """The full native-vs-bridged figure, one row per route."""
-    return {label: measure_route(route) for route, label in ROUTES}

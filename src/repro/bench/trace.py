@@ -1,9 +1,9 @@
-"""Trace-span collection for benchmarks and the CLI.
+"""Trace-span collection for the ``trace_spans`` experiment.
 
 Every message already produces a span tree (the pipeline's
-``TracingFilter`` runs in all chains); this module packages the trees
-into benchmark-friendly shapes: a per-stage elapsed-time figure and a
-full JSON/CSV dump of the trees themselves.
+``TracingFilter`` runs in all chains); this module records the trees of
+one signed round trip and one notification, and flattens a tree into
+the per-stage elapsed times the spec's figure shows.
 """
 
 from __future__ import annotations
@@ -16,12 +16,6 @@ from repro.apps.counter.deploy import (
 from repro.container.security import SecurityMode
 from repro.sim.costs import CostModel
 from repro.sim.metrics import Span
-
-#: Series labels for the two stacks, in the paper's legend order.
-TRACE_SERIES = (
-    ("WS-Transfer / WS-Eventing", "transfer"),
-    ("WSRF.NET", "wsrf"),
-)
 
 
 def trace_round_trip(
@@ -60,19 +54,3 @@ def trace_round_trip(
 def stage_breakdown(root: Span) -> dict[str, float]:
     """Elapsed virtual ms per top-level stage of one round-trip tree."""
     return {child.name: child.elapsed_ms for child in root.children}
-
-
-def span_figure(mode: SecurityMode = SecurityMode.X509) -> dict[str, dict[str, float]]:
-    """Stage breakdown of a signed distributed Get, per stack (a figure)."""
-    return {
-        label: stage_breakdown(trace_round_trip(stack, mode)["Get"])
-        for label, stack in TRACE_SERIES
-    }
-
-
-def span_trees(mode: SecurityMode = SecurityMode.X509) -> dict[str, dict[str, dict]]:
-    """Full span trees per stack and operation, JSON-serializable."""
-    return {
-        label: {op: root.to_dict() for op, root in trace_round_trip(stack, mode).items()}
-        for label, stack in TRACE_SERIES
-    }

@@ -76,25 +76,3 @@ def scan_cost_model(n: int, costs: CostModel | None = None) -> float:
     """What the scan path must charge for a query over ``n`` documents."""
     costs = costs if costs is not None else CostModel()
     return costs.db_query_base + costs.db_query_per_doc * n
-
-
-def xmldb_scaling_figure(sizes: tuple[int, ...] = SIZES) -> dict[str, dict[str, float]]:
-    """Series → {N → virtual ms} for the three query shapes."""
-    scan: dict[str, float] = {}
-    indexed: dict[str, float] = {}
-    fallback: dict[str, float] = {}
-    speedup: dict[str, float] = {}
-    for n in sizes:
-        plain = build_corpus(n, indexed=False)
-        fast = build_corpus(n, indexed=True)
-        scan[str(n)], scan_hits = query_cost(plain, host_lookup(n))
-        indexed[str(n)], indexed_hits = query_cost(fast, host_lookup(n))
-        assert scan_hits == indexed_hits == 1
-        fallback[str(n)], _ = query_cost(fast, UNINDEXABLE)
-        speedup[str(n)] = scan[str(n)] / indexed[str(n)]
-    return {
-        "scan host lookup": scan,
-        "indexed host lookup": indexed,
-        "unindexable (falls back to scan)": fallback,
-        "scan / indexed speedup ×": speedup,
-    }

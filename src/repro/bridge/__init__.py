@@ -7,7 +7,7 @@ services."  These gateways make exactly that aiming possible: a facade
 service speaks one stack's protocol to clients and drives a backing service
 on the other stack, translating EPRs and operations per a declarative
 property mapping.  The cost of switching becomes measurable: every bridged
-call pays one extra signed hop (see ``benchmarks/bench_stack_switching.py``).
+call pays one extra signed hop (the ``stack_switching`` experiment spec).
 """
 
 from repro.bridge.mapping import BridgeMapping, COUNTER_MAPPING

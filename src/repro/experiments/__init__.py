@@ -24,6 +24,7 @@ from repro.experiments.gates import (
     check_against_record,
     check_artifacts,
     find_drift,
+    find_leaf_changes,
     find_ordering_flips,
 )
 from repro.experiments.schema import (
@@ -66,6 +67,7 @@ __all__ = [
     "dumps_canonical",
     "evaluate_invariants",
     "find_drift",
+    "find_leaf_changes",
     "find_ordering_flips",
     "make_record",
     "numeric_leaves",

@@ -38,14 +38,6 @@ SECTION_TAGS = {
     "msgperf": "MSGPERF",
 }
 
-#: Specs whose bench wrapper file is not ``benchmarks/bench_<name>.py``.
-BENCH_WRAPPERS = {
-    "reliability_counter": "benchmarks/bench_reliability.py",
-    "reliability_giab": "benchmarks/bench_reliability.py",
-    "ablation_robustness": "benchmarks/bench_ablation_costs.py",
-    "xmldb_scaling": "benchmarks/bench_xmldb.py",
-}
-
 #: Hand-written prose per section, rendered below the measured table.
 NARRATIVES = {
     "fig2_hello_nosec": """\
@@ -58,16 +50,17 @@ by more than ~2.5× ("overwhelmingly equivalent ... implied performance").""",
     "fig3_hello_https": """\
 Paper: same axis (max 50) as Figure 2 — "Due to socket caching, HTTPS
 performance is much faster".  With TLS session resumption the per-op delta
-over Figure 2 is a few ms; the bench's cold-handshake ablation
-(`test_cold_handshake_would_dominate`) shows an uncached handshake would
+over Figure 2 is a few ms; the cold-handshake ablation
+(`tests/bench/test_paper_claims.py`) shows an uncached handshake would
 add ≈ 28 ms to every call.  All Figure 2 orderings are preserved.""",
     "fig4_hello_x509": """\
 Paper: 80–160 ms band, axis max 160.  Every op is ≥ 3× its no-security
 time ("the overhead of the security processing is so large that the
 performance differences ... fade") and the relative cross-stack gaps
-shrink under signing — both asserted against the Figure 2 record by the
-bench wrapper.  Signatures are real RSA/PKCS#1 over exclusive-c14n bytes
-(2 signatures + 2 verifications per round trip, trace-verified).
+shrink under signing — both asserted against the Figure 2 grid by
+`tests/bench/test_paper_claims.py`.  Signatures are real RSA/PKCS#1
+over exclusive-c14n bytes (2 signatures + 2 verifications per round
+trip, trace-verified).
 
 Deviation: our band sits slightly above the paper's (≈ 110–180 vs 80–160)
 because we charge the same RSA cost for request and response signing;
@@ -137,7 +130,8 @@ Each load-bearing cost-model entry perturbed ±50%, headline orderings
 re-checked: every cell must read 0 violations.  Create-vs-Set is excluded
 by design — WS-Transfer's Set pays read+update, so "Create is slowest"
 requires insert ≳ read+update (true for Xindice, flips if insert cost is
-halved); that sensitivity is pinned by its own bench test instead.""",
+halved); that sensitivity is pinned by its own test in
+`tests/bench/test_paper_claims.py` instead.""",
     "trace_spans": """\
 Per-stage breakdown of one signed distributed Get per stack, from the
 pipeline's TracingFilter — the Figure 1 stages made measurable.  The four
@@ -174,10 +168,11 @@ rate, and queue depth rises — the committed trajectory is
     "msgperf": """\
 The one wall-clock experiment (gate: shape): real elapsed time of the
 signed message path with the memoization layer on vs off.  The recorded
-numbers are machine-specific; the gate re-checks only the invariants —
-the soak speedup floor, bit-identical virtual costs with caching on/off,
-and cache hit counters (the signature caches may miss only during the
-warm-up).  The committed trajectory is
+numbers are machine-specific, so the gate never compares them with the
+record; it checks that no numeric leaf appeared or vanished and re-checks
+the invariants — the soak speedup floor, bit-identical virtual costs with
+caching on/off, and cache hit counters (the signature caches may miss
+only during the warm-up).  The committed trajectory is
 `results/BENCH_msgperf.json`.""",
 }
 
@@ -225,7 +220,8 @@ ABLATE experiment perturbs individual entries to show which results are
 calibration-robust.  All headline orderings survive any single-entry ±50%
 perturbation, with one documented exception: WS-Transfer's "Create slower
 than Set" requires insert ≳ read+update (true for Xindice, flips if
-insert cost is halved) — the bench pins that sensitivity explicitly.
+insert cost is halved) — `tests/bench/test_paper_claims.py` pins that
+sensitivity explicitly.
 Mechanism ablations further show each paper observation disappears when
 its mechanism is disabled (no cache → no Set advantage; same delivery
 overhead → no Notify gap; no TLS resumption → HTTPS pays the handshake;
@@ -233,20 +229,16 @@ free crypto → the X.509 figure collapses).
 """
 
 
-def bench_wrapper(spec: ExperimentSpec) -> str:
-    return BENCH_WRAPPERS.get(spec.name, f"benchmarks/bench_{spec.name}.py")
-
-
 def render_section(spec: ExperimentSpec, record) -> str:
     gate_label = (
         "exact (bit-identical virtual ms)" if spec.gate == "exact"
-        else "shape (wall-clock; invariants only)"
+        else "shape (wall-clock; structure and invariants only)"
     )
     lines = [
         f"## {SECTION_TAGS[spec.name]} — {spec.title}",
         "",
         f"Spec: `{spec.name}` ({len(record.cells)} cells; gate: {gate_label}).",
-        f"Measurement: `{spec.source}`; bench wrapper: `{bench_wrapper(spec)}`.",
+        f"Measurement: `{spec.source}`.",
         "",
     ]
     if spec.to_figure is not None:

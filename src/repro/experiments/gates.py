@@ -1,7 +1,10 @@
 """Regression gates: fresh numbers vs the recorded trajectory.
 
-Three failure classes, in the order they are reported:
+Four failure classes, in the order they are reported:
 
+* **structural problems** — the grid contract (spec fingerprint) moved,
+  cells went missing or appeared, or a numeric leaf appeared in or
+  vanished from a cell;
 * **invariant violations** — the spec's declared shape claims
   (x509 > https > none, distributed > colocated, Create slowest, …)
   no longer hold on the fresh run;
@@ -14,7 +17,7 @@ Three failure classes, in the order they are reported:
 
 Specs gated ``shape`` (wall-clock benches) skip drift and ordering —
 their absolute numbers are machine-dependent — and are judged on
-invariants alone.
+structure and invariants alone.
 """
 
 from __future__ import annotations
@@ -97,6 +100,22 @@ def find_ordering_flips(
     return flips
 
 
+def find_leaf_changes(recorded: RunRecord, fresh: RunRecord) -> list[str]:
+    """Numeric leaves that appeared in or vanished from a fresh cell."""
+    rec = _leaves_by_cell(recorded)
+    new = _leaves_by_cell(fresh)
+    problems: list[str] = []
+    for cell_id in recorded.cell_ids():
+        if cell_id not in new:
+            continue
+        for path in sorted(set(rec[cell_id]) ^ set(new[cell_id])):
+            if path in new[cell_id]:
+                problems.append(f"{cell_id}:{path} appeared (not in the record)")
+            else:
+                problems.append(f"{cell_id}:{path} vanished from the fresh run")
+    return problems
+
+
 def find_drift(
     recorded: RunRecord, fresh: RunRecord, tolerance: float
 ) -> list[str]:
@@ -108,13 +127,7 @@ def find_drift(
         if cell_id not in new:
             continue
         rec_leaves, new_leaves = rec[cell_id], new[cell_id]
-        for path in sorted(set(rec_leaves) | set(new_leaves)):
-            if path not in rec_leaves:
-                problems.append(f"{cell_id}:{path} appeared (not in the record)")
-                continue
-            if path not in new_leaves:
-                problems.append(f"{cell_id}:{path} vanished from the fresh run")
-                continue
+        for path in sorted(set(rec_leaves) & set(new_leaves)):
             was, now = rec_leaves[path], new_leaves[path]
             if was == now:
                 continue
@@ -146,6 +159,7 @@ def check_against_record(
         report.structural_problems.append(f"cells missing from fresh run: {missing}")
     if extra:
         report.structural_problems.append(f"cells not in the record: {extra}")
+    report.structural_problems.extend(find_leaf_changes(recorded, fresh))
     report.invariant_violations = evaluate_invariants(spec, fresh)
     if spec.gate == "exact":
         report.ordering_flips = find_ordering_flips(recorded, fresh)

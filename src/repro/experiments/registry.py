@@ -1,11 +1,12 @@
 """Every experiment in the repo, declared as a spec.
 
-One entry per legacy ``benchmarks/bench_*.py`` figure: the axes it
-sweeps, the measurement behind one cell, the shape invariants the paper
-claims, and how the recorded cells render back into the committed
-``results/*.csv`` / ``BENCH_*.json`` artifacts.  The bench scripts are
-thin wrappers over these specs; ``python -m repro experiments`` runs
-them; ``scripts/check.sh`` gates fresh runs against the records.
+One entry per paper figure or extension sweep: the axes it sweeps, the
+measurement behind one cell, the shape invariants the paper claims, and
+how the recorded cells render back into the committed ``results/*.csv``
+/ ``BENCH_*.json`` artifacts.  ``python -m repro experiments`` runs,
+prints and gates them; ``scripts/check.sh`` gates fresh runs against
+the records.  Claims that span specs or need a modified cost model live
+in ``tests/bench/test_paper_claims.py``.
 
 Figure builders always impose explicit row/column orders — cell payloads
 round-trip through sorted-key JSON, so insertion order is *not*
@@ -15,8 +16,11 @@ bytes identical to the legacy ones.
 
 from __future__ import annotations
 
+from repro.bench import loadgen
+from repro.bench.datagrid import EXPECTED_SOURCES
 from repro.bench.giab import GIAB_OPS, measure_giab
 from repro.bench.hello import HELLO_OPS, measure_hello_world
+from repro.bench.xmldb import SIZES as XMLDB_SIZES
 from repro.container.security import SecurityMode
 from repro.experiments.schema import RunRecord
 from repro.experiments.spec import (
@@ -429,6 +433,15 @@ def _spec_complexity_counts(record: RunRecord) -> list[str]:
     return problems
 
 
+def _spec_complexity_totals(record: RunRecord) -> list[str]:
+    return [
+        f"{cell.cell_id}: total {cell.values['total']:g} is not the sum of its parts"
+        for cell in record.cells
+        if cell.values["total"]
+        != sum(v for name, v in cell.values.items() if name != "total")
+    ]
+
+
 SPEC_COMPLEXITY = ExperimentSpec(
     name="spec_complexity",
     title="Spec complexity: operations defined per stack",
@@ -446,6 +459,11 @@ SPEC_COMPLEXITY = ExperimentSpec(
             "per_spec_counts",
             "the per-specification operation counts",
             fn=_spec_complexity_counts,
+        ),
+        Predicate(
+            "totals_sum_parts",
+            "each stack's total is the sum of its per-specification counts",
+            fn=_spec_complexity_totals,
         ),
     ),
     to_figure=_spec_complexity_figure,
@@ -494,6 +512,13 @@ def _brokered_claims(record: RunRecord) -> list[str]:
     return problems
 
 
+def _brokered_time(record: RunRecord) -> list[str]:
+    values = cell_values(record, workload="brokered")
+    if values["demand"]["virtual_ms"] > values["plain"]["virtual_ms"]:
+        return []
+    return ["the demand scenario is no slower than a plain Subscribe"]
+
+
 BROKERED = ExperimentSpec(
     name="brokered_messages",
     title="Brokered-notification message counts (per §3.1 scenario)",
@@ -501,6 +526,11 @@ BROKERED = ExperimentSpec(
     measure=_measure_brokered,
     invariants=(
         Predicate("brokered_claims", "§3.1's message-explosion claims", fn=_brokered_claims),
+        Predicate(
+            "demand_costs_more_time",
+            "the demand scenario costs more virtual time than a plain Subscribe",
+            fn=_brokered_time,
+        ),
     ),
     to_figure=_brokered_figure,
     source="repro.bench.brokered.measure_brokered",
@@ -1050,7 +1080,6 @@ TRACE_SPANS = ExperimentSpec(
 
 # -- XML DB scaling ----------------------------------------------------------
 
-_XMLDB_SIZES = (10, 100, 1000, 5000)
 _XMLDB_ROWS = (
     ("scan host lookup", "scan"),
     ("indexed host lookup", "indexed"),
@@ -1128,7 +1157,7 @@ def _xmldb_claims(record: RunRecord) -> list[str]:
 XMLDB_SCALING = ExperimentSpec(
     name="xmldb_scaling",
     title="XML DB scaling: indexed query vs collection scan",
-    axes=(Axis("size", _XMLDB_SIZES),),
+    axes=(Axis("size", XMLDB_SIZES),),
     measure=_measure_xmldb,
     invariants=(
         Predicate("xmldb_claims", "cost formula, flat index and planner fallback", fn=_xmldb_claims),
@@ -1185,8 +1214,6 @@ def _datagrid_artifacts(record: RunRecord) -> dict[str, str]:
 
 
 def _datagrid_claims(record: RunRecord) -> list[str]:
-    from repro.bench.datagrid import EXPECTED_SOURCES
-
     problems = []
     for cell in record.cells:
         row = cell.values
@@ -1244,12 +1271,7 @@ DATAGRID = ExperimentSpec(
         "registrations": 3,
         "replications": 2,
         "stage_ins": 2,
-        "expected_sources": {
-            "replicate lfn:events to se2.cern": "se1.cern",
-            "replicate lfn:calib to se1.fnal": "se1.cern",
-            "stage-in lfn:events to se2.fnal": "se1.fnal",
-            "stage-in lfn:calib to se1.cern": "se1.cern",
-        },
+        "expected_sources": EXPECTED_SOURCES,
     },
     source="repro.bench.datagrid.run_staging",
 )
@@ -1257,13 +1279,11 @@ DATAGRID = ExperimentSpec(
 
 # -- open-loop load ----------------------------------------------------------
 
-_LOADGEN_RATES = (10.0, 20.0, 40.0)
+_LOADGEN_RATES = loadgen.BENCH_RATES
 
 
 def _measure_loadgen(params: dict, seed: int) -> dict:
-    from repro.bench.loadgen import run_load
-
-    return run_load(params["stack"], rate_per_sec=params["rate"]).summary()
+    return loadgen.run_load(params["stack"], rate_per_sec=params["rate"]).summary()
 
 
 def _loadgen_figure(record: RunRecord) -> dict:
@@ -1351,13 +1371,13 @@ LOADGEN = ExperimentSpec(
     to_figure=_loadgen_figure,
     extra_artifacts=_loadgen_artifacts,
     config={
-        "requests_per_point": 60,
-        "process": "poisson",
-        "seed": 1405,
-        "workers": 1,
-        "queue_limit": 64,
-        "mode": "x509",
-        "placement": "distributed",
+        "requests_per_point": loadgen.BENCH_REQUESTS,
+        "process": loadgen.PROCESS,
+        "seed": loadgen.BENCH_SEED,
+        "workers": loadgen.WORKERS,
+        "queue_limit": loadgen.QUEUE_LIMIT,
+        "mode": loadgen.MODE.value,
+        "placement": "co-located" if loadgen.COLOCATED else "distributed",
         "unit": "virtual ms",
     },
     source="repro.bench.loadgen.run_load",

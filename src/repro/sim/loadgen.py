@@ -10,7 +10,7 @@ generator: offered load does not throttle when the server saturates, so
 queueing delay becomes visible instead of being absorbed into the
 arrival process).
 
-The counter-rig adapter and CLI live in :mod:`repro.bench.loadgen`; this
+The counter-rig adapter lives in :mod:`repro.bench.loadgen`; this
 module knows nothing about SOAP stacks — only arrivals, tasks and the
 statistics of their completions.
 """

@@ -4,6 +4,7 @@ declared services end-to-end on both stacks."""
 import pytest
 
 from repro.apps.datagrid import (
+    DatagridScenario,
     LinkFabric,
     ReplicaCatalogLogic,
     ReplicaTable,
@@ -13,6 +14,7 @@ from repro.apps.datagrid import (
 )
 from repro.apps.datagrid.links import LAN_TRANSFER_MS, WAN_TRANSFER_MS
 from repro.apps.layers.logic import LogicError, UnknownEntity
+from repro.bench.datagrid import run_staging
 from repro.sim.network import Network
 from repro.soap.envelope import SoapFault
 from repro.xmldb.collection import Collection
@@ -142,6 +144,11 @@ class TestDeclaredServicesEndToEnd:
         with pytest.raises(SoapFault) as caught:
             rig.catalog.register_replica("lfn:f0", "se1.cern")
         assert caught.value.code == "Client"
+
+    def test_staging_run_is_deterministic(self, stack):
+        assert run_staging(stack, DatagridScenario()) == run_staging(
+            stack, DatagridScenario()
+        )
 
     def test_replication_charges_link_time(self, stack):
         rig = build_datagrid(stack)

@@ -1,6 +1,6 @@
 """Shared toy specs for the experiment-engine tests.
 
-The real registry specs are exercised by the bench wrappers; here a tiny
+The real registry specs are gated by ``test_records.py``; here a tiny
 deterministic spec (2 axes, 4 cells, pure arithmetic) keeps the engine /
 gate / CLI tests fast and lets them count measure() invocations.
 """

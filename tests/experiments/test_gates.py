@@ -13,11 +13,23 @@ from repro.experiments import (
     check_against_record,
     check_artifacts,
     find_drift,
+    find_leaf_changes,
     find_ordering_flips,
     make_record,
     run_in_memory,
 )
 from tests.experiments.conftest import make_toy_spec, toy_measure
+
+
+def without_leaf(record, cell_index, leaf):
+    """A copy of ``record`` with one numeric leaf dropped from one cell."""
+    cells = list(record.cells)
+    target = cells[cell_index]
+    values = {k: v for k, v in target.values.items() if k != leaf}
+    cells[cell_index] = CellResult(
+        cell_id=target.cell_id, params=target.params, seed=target.seed, values=values
+    )
+    return dataclasses.replace(record, cells=cells)
 
 
 def tampered(record, cell_index, **new_values):
@@ -83,9 +95,11 @@ class TestDrift:
             cell_id=target.cell_id, params=target.params, seed=target.seed, values=values
         )
         fresh = dataclasses.replace(recorded, cells=cells)
-        problems = find_drift(recorded, fresh, tolerance=1.0)
+        problems = find_leaf_changes(recorded, fresh)
         assert any("vanished" in p for p in problems)
         assert any("appeared" in p for p in problems)
+        # Value drift is a separate class: the shared leaves did not move.
+        assert find_drift(recorded, fresh, tolerance=0.0) == []
 
 
 class TestCheckAgainstRecord:
@@ -131,6 +145,16 @@ class TestCheckAgainstRecord:
         fresh = tampered(run_in_memory(spec), 0, get_ms=9.0)  # drifted but ordered
         report = check_against_record(spec, recorded, fresh)
         assert report.ok
+
+    def test_shape_gate_fails_when_a_leaf_vanishes(self):
+        spec = make_toy_spec(gate="shape")
+        recorded = run_in_memory(spec)
+        fresh = without_leaf(run_in_memory(spec), 0, "seed_echo")
+        report = check_against_record(spec, recorded, fresh)
+        assert not report.ok
+        assert any(
+            "seed_echo vanished" in problem for problem in report.structural_problems
+        )
 
     def test_exact_gate_fails_on_the_same_drift(self):
         spec = make_toy_spec()

@@ -20,6 +20,9 @@ from repro.apps.counter.deploy import (
 from repro.bench.msgperf import WARMUP_SIGNATURE_MISSES, run_soak, signature_cache_misses
 from repro.container.security import SecurityMode
 from repro.crypto import CertificateAuthority, sign_element, verify_element
+from repro.experiments import ExperimentEngine
+from repro.experiments.cli import DEFAULT_RESULTS_DIR
+from repro.experiments.registry import cell_values
 from repro.sim.costs import CostModel
 from repro.xmllib import element
 from repro.xmllib.element import content_key
@@ -125,3 +128,12 @@ class TestCachesAreWallClockOnly:
         with caching_disabled():
             uncached = soak()
         assert cached == uncached
+
+    def test_soak_virtual_cost_matches_the_committed_record(self):
+        # A pure function of the seeded rig: a few soak messages reproduce
+        # the committed msgperf record's virtual ms/op exactly, in both modes.
+        record = ExperimentEngine(DEFAULT_RESULTS_DIR).load_record("msgperf")
+        committed = cell_values(record, run="all")["soak"]
+        assert run_soak(5)["virtual_ms_per_op"] == committed["cached"]["virtual_ms_per_op"]
+        uncached = run_soak(2, uncached=True)["virtual_ms_per_op"]
+        assert uncached == committed["uncached"]["virtual_ms_per_op"]

@@ -144,8 +144,7 @@ class TestRigDeterminism:
 
         def once():
             return run_load(
-                "wsrf", rate_per_sec=30.0, requests=12,
-                process="poisson", seed=42,
+                "wsrf", rate_per_sec=30.0, requests=12, seed=42,
             ).summary()
 
         assert once() == once()
@@ -154,8 +153,7 @@ class TestRigDeterminism:
         from repro.bench.loadgen import run_load
 
         result = run_load(
-            "transfer", rate_per_sec=40.0, requests=12,
-            process="poisson", seed=42,
+            "transfer", rate_per_sec=40.0, requests=12, seed=42,
         )
         assert result.completed == 12
         assert result.queueing.percentile(95) > 0.0

@@ -1,4 +1,4 @@
-"""Smoke tests: every example and the figure CLI stay runnable."""
+"""Smoke tests: every example stays runnable; the CLI names its commands."""
 
 import importlib
 import io
@@ -73,16 +73,29 @@ class TestCli:
             code = main(list(args))
         return code, buffer.getvalue()
 
-    def test_fig2(self):
-        code, out = self.run_cli("fig2")
+    def test_fig2(self, tmp_path):
+        code, out = self.run_cli(
+            "experiments", "--run", "fig2_hello_nosec", "--results", str(tmp_path)
+        )
         assert code == 0
         assert "Figure 2" in out and "WSRF.NET" in out
 
-    def test_multiple_figures(self):
-        code, out = self.run_cli("fig2", "fig4")
+    def test_multiple_figures(self, tmp_path):
+        code, out = self.run_cli(
+            "experiments", "--run", "fig2_hello_nosec", "fig4_hello_x509",
+            "--results", str(tmp_path),
+        )
         assert code == 0
         assert "Figure 2" in out and "Figure 4" in out
 
     def test_unknown_figure_exits_nonzero(self):
         code, _ = self.run_cli("fig99")
         assert code == 2
+
+    def test_only_experiments_and_conformance_dispatch(self, capsys):
+        from repro.__main__ import main
+
+        for argv in ([], ["fig2"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "experiments" in err and "conformance" in err
