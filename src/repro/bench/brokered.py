@@ -10,6 +10,8 @@ point-to-point Subscribe and the full demand-based publisher scenario
 
 from __future__ import annotations
 
+import zlib
+
 from repro.addressing import EndpointReference
 from repro.container import (
     Deployment,
@@ -52,8 +54,10 @@ class SensorService(NotificationProducerMixin, WsResourceService):
 
 
 def _container(deployment: Deployment, host: str, name: str):
+    # crc32, not hash(): string hashes change with PYTHONHASHSEED.
+    common_name = f"container-{host}-{name}"
     creds = deployment.issue_credentials(
-        f"container-{host}-{name}", seed=hash((host, name)) % 10_000 + 100
+        common_name, seed=zlib.crc32(common_name.encode()) % 10_000 + 100
     )
     return deployment.add_container(host, name, creds)
 

@@ -6,14 +6,21 @@ Signing uses the key's prime factors (the Chinese remainder theorem form
 of RSASP1, RFC 3447 §5.2.1): two half-size exponentiations that yield the
 same integer as the textbook ``m^d mod n``, so signatures are
 byte-identical to it.
+
+Keys are simulation keys, derived from seeds in the repository.  The primes
+of every ``(bits, seed)`` the repository uses are committed in
+``keyring.json`` (the keyring), so building a deployment runs no prime
+search; any other seed still runs it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.crypto.primes import generate_prime
 
@@ -71,6 +78,37 @@ class RsaPublicKey:
         return hashlib.sha1(material).hexdigest()[:16]
 
 
+_PUBLIC_EXPONENT = 65537
+
+
+def _search_primes(bits: int, seed: int | None) -> tuple[int, int]:
+    """The key search: Miller-Rabin primes ``(p, q)``, in the order drawn
+    from an rng seeded with ``seed``.  The keyring is checked against it."""
+    rng = random.Random(seed if seed is not None else 0x5EED)
+    while True:
+        p = generate_prime(bits // 2, rng)
+        q = generate_prime(bits - bits // 2, rng)
+        if (
+            p != q
+            and math.gcd(_PUBLIC_EXPONENT, (p - 1) * (q - 1)) == 1
+            and (p * q).bit_length() == bits
+        ):
+            return p, q
+
+
+def _load_keyring() -> dict[tuple[int, int | None], tuple[int, int]]:
+    """``(bits, seed) -> (p, q)`` from the committed keyring, one entry per
+    line, sorted by bits and seed, primes in hex."""
+    entries = json.loads(Path(__file__).with_name("keyring.json").read_text(encoding="utf-8"))
+    return {
+        (entry["bits"], entry["seed"]): (int(entry["p"], 16), int(entry["q"], 16))
+        for entry in entries
+    }
+
+
+#: Read-only after import; a key is rebuilt from its primes on first use.
+_KEYRING = _load_keyring()
+
 _KEY_CACHE: dict[tuple[int, int | None], "RsaKeyPair"] = {}
 
 
@@ -94,34 +132,24 @@ class RsaKeyPair:
 
     @classmethod
     def generate(cls, bits: int = 1024, seed: int | None = None) -> "RsaKeyPair":
-        """Generate a keypair deterministically from ``seed``.
+        """The keypair for ``seed``: rebuilt from the keyring's primes, or
+        searched for when ``(bits, seed)`` is not in it.
 
-        Determinism makes memoization sound: the same (bits, seed) always
-        yields the same key, so repeated deployment builds skip the search.
+        Either way the key is the one the search yields, so the same
+        (bits, seed) always gives the same key and memoizing it is sound.
         """
         cached = _KEY_CACHE.get((bits, seed))
         if cached is not None:
             return cached
-        rng = random.Random(seed if seed is not None else 0x5EED)
-        e = 65537
-        while True:
-            p = generate_prime(bits // 2, rng)
-            q = generate_prime(bits - bits // 2, rng)
-            if p == q:
-                continue
-            phi = (p - 1) * (q - 1)
-            if math.gcd(e, phi) != 1:
-                continue
-            n = p * q
-            if n.bit_length() != bits:
-                continue
-            d = pow(e, -1, phi)
-            keypair = cls(
-                n=n, e=e, d=d, p=p, q=q,
-                dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p),
-            )
-            _KEY_CACHE[(bits, seed)] = keypair
-            return keypair
+        p, q = _KEYRING.get((bits, seed)) or _search_primes(bits, seed)
+        e = _PUBLIC_EXPONENT
+        d = pow(e, -1, (p - 1) * (q - 1))
+        keypair = cls(
+            n=p * q, e=e, d=d, p=p, q=q,
+            dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p),
+        )
+        _KEY_CACHE[(bits, seed)] = keypair
+        return keypair
 
     @property
     def public(self) -> RsaPublicKey:

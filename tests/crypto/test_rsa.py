@@ -15,11 +15,12 @@ from repro.crypto import (
     SignatureError,
     generate_prime,
     is_probable_prime,
+    rsa,
 )
 from repro.crypto.rsa import _emsa_pkcs1_v15
 
 
-# A small keypair generated once per test module: keygen is the slow part.
+# A small keypair shared by the module (rebuilt from the keyring).
 @pytest.fixture(scope="module")
 def keypair():
     return RsaKeyPair.generate(bits=512, seed=42)
@@ -58,9 +59,8 @@ class TestPrimes:
 
 class TestKeyGeneration:
     def test_deterministic(self):
-        k1 = RsaKeyPair.generate(bits=512, seed=5)
-        k2 = RsaKeyPair.generate(bits=512, seed=5)
-        assert (k1.n, k1.e, k1.d) == (k2.n, k2.e, k2.d)
+        # The search itself, twice: two lookups would read the keyring twice.
+        assert rsa._search_primes(512, 5) == rsa._search_primes(512, 5)
 
     def test_different_seeds_differ(self):
         assert RsaKeyPair.generate(bits=512, seed=1).n != RsaKeyPair.generate(bits=512, seed=2).n

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 from repro.container import Deployment, SecurityMode, SecurityPolicy, SoapClient
 from repro.crypto import CertificateAuthority
 from repro.sim import CostModel
@@ -16,7 +18,9 @@ def make_deployment(
 
 
 def server_container(deployment: Deployment, host: str = "server", name: str = "App"):
-    creds = deployment.issue_credentials(f"container-{host}-{name}", seed=hash((host, name)) % 10_000 + 100)
+    # crc32, not hash(): string hashes change with PYTHONHASHSEED.
+    common_name = f"container-{host}-{name}"
+    creds = deployment.issue_credentials(common_name, seed=zlib.crc32(common_name.encode()) % 10_000 + 100)
     return deployment.add_container(host, name, creds)
 
 
