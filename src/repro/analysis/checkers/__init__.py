@@ -23,8 +23,6 @@ RPO12   filter/handler code settles state before notification
         fan-out or yield, never after
 RPO13   WriteThroughCache/index internals are written only through
         the owning Collection API
-RPO14   the kernel owns time: no direct ``Clock.advance`` or timer
-        mutation (schedule/cancel) outside ``repro.sim``
 RPO15   logic-/db-layer modules stay stack-blind: no ``repro.soap``/
         ``repro.container``/``repro.pipeline`` imports below the
         router seam
@@ -42,7 +40,6 @@ from repro.analysis.checkers import (  # noqa: F401  (import registers)
     fault_discipline,
     handler_state,
     host_isolation,
-    kernel_time,
     layer_discipline,
     namespace_hygiene,
     pipeline_boundary,

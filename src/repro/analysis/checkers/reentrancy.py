@@ -43,7 +43,7 @@ _GUARDED_ROOTS = frozenset({"self", "cls", "ctx", "context"})
 
 #: Kernel effect constructors (repro.sim.kernel): ``yield Work(...)`` is a
 #: cooperative suspension awaiting the scheduler, not a fan-out.
-_EFFECT_NAMES = frozenset({"Delay", "Work", "Send", "Recv", "Acquire", "Release"})
+_EFFECT_NAMES = frozenset({"Delay", "Work", "Acquire", "Release"})
 
 _MUTATORS = frozenset(
     {

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.sim.clock import Timer
+from repro.sim.kernel import Timer
 from repro.sim.network import Network
 from repro.xmllib import element, ns, text_of
 from repro.xmllib.element import XmlElement

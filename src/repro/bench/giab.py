@@ -78,7 +78,8 @@ def _measure_wsrf(mode: SecurityMode, costs: CostModel | None):
     run("Delete File", lambda: vo.client.delete_file(directory, "input.dat"))
     # "Un-reserving a resource also happens automatically in the WSRF
     # version (so no time is reported)."  Let the job finish to show it.
-    deployment.network.clock.charge(JOB.run_time_ms + 10)
+    network = deployment.network
+    network.kernel.run(until=network.clock.now + JOB.run_time_ms + 10)
     available_again = {s["host"] for s in vo.client.get_available_resources("sort")}
     if site["host"] not in available_again:
         raise RuntimeError("WSRF reservation was not automatically released")
@@ -108,6 +109,7 @@ def _measure_transfer(mode: SecurityMode, costs: CostModel | None):
     run("Upload File", lambda: vo.client.upload_file(site["data_address"], "input.dat", FILE_CONTENT))
     run("Instantiate Job", lambda: vo.client.start_job(site["exec_address"], JOB))
     run("Delete File", lambda: vo.client.delete_file(site["data_address"], "input.dat"))
-    deployment.network.clock.charge(JOB.run_time_ms + 10)
+    network = deployment.network
+    network.kernel.run(until=network.clock.now + JOB.run_time_ms + 10)
     run("Unreserve Resource", lambda: vo.client.unreserve(site["host"]))
     return results, traces

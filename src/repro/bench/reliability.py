@@ -191,7 +191,8 @@ def _run_job_wsrf(vo) -> bool:
     job = vo.client.start_job(site["exec_address"], reservation, directory, _JOB)
     vo.client.subscribe_job_exit(job, vo.consumer)
     # Job run time passes; the exit notification fires from the timer.
-    vo.deployment.network.clock.charge(_JOB.run_time_ms + 500)  # repro-lint: disable=RPO05
+    network = vo.deployment.network
+    network.kernel.run(until=network.clock.now + _JOB.run_time_ms + 500)
     vo.client.destroy(directory)
     return True
 
@@ -205,7 +206,8 @@ def _run_job_transfer(vo) -> bool:
     vo.client.upload_file(site["data_address"], "input.dat", "x" * 2048)
     job = vo.client.start_job(site["exec_address"], _JOB)
     vo.client.subscribe_job_exit(site["exec_address"], job, vo.consumer)
-    vo.deployment.network.clock.charge(_JOB.run_time_ms + 500)  # repro-lint: disable=RPO05
+    network = vo.deployment.network
+    network.kernel.run(until=network.clock.now + _JOB.run_time_ms + 500)
     vo.client.delete_file(site["data_address"], "input.dat")
     vo.client.unreserve(site["host"])
     return True

@@ -119,7 +119,8 @@ def _submit_wsrf(vo: WsrfVo, item: WorkItem) -> bool:
     vo.client.upload_file(directory, "input.dat", "x" * (item.input_kb * 1024))
     vo.client.start_job(site["exec_address"], reservation, directory, _spec(item))
     # Let the job finish; the reservation auto-releases on exit.
-    vo.deployment.network.clock.charge(item.run_time_ms + 10)
+    network = vo.deployment.network
+    network.kernel.run(until=network.clock.now + item.run_time_ms + 10)
     vo.client.destroy(directory)
     return True
 
@@ -132,7 +133,8 @@ def _submit_transfer(vo: TransferVo, item: WorkItem) -> bool:
     vo.client.make_reservation(site["host"])
     vo.client.upload_file(site["data_address"], "input.dat", "x" * (item.input_kb * 1024))
     vo.client.start_job(site["exec_address"], _spec(item))
-    vo.deployment.network.clock.charge(item.run_time_ms + 10)
+    network = vo.deployment.network
+    network.kernel.run(until=network.clock.now + item.run_time_ms + 10)
     vo.client.delete_file(site["data_address"], "input.dat")
     if item.produces_output:
         vo.client.delete_file(site["data_address"], "output.dat")

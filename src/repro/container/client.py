@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.addressing.epr import EndpointReference
 from repro.container.security import Credentials
 from repro.pipeline import PipelineContext
-from repro.sim.kernel import Acquire, Release, Work, drive_inline
+from repro.sim.kernel import Acquire, Release, Work
 from repro.sim.network import Host
 from repro.xmllib.element import XmlElement
 
@@ -54,20 +54,13 @@ class SoapClient:
         ``rm_stamp`` is the WS-RM ``(sequence id, message number)`` a
         :class:`~repro.reliable.channel.ReliableChannel` assigns; the
         pipeline's reliability filter stamps it onto the wire headers.
+        The kernel's eager driver runs the request; a server out-call
+        nested in a stage skips the worker pools, since its cost is part
+        of the enclosing request's service stage.
         """
-        task = self.invoke_task(
-            epr, action, body, reply_to=reply_to, rm_stamp=rm_stamp,
+        return self.network.kernel.run_sync(
+            self.invoke_task(epr, action, body, reply_to=reply_to, rm_stamp=rm_stamp)
         )
-        kernel = getattr(self.network, "kernel", None)
-        if kernel is not None and kernel.can_run_sync:
-            # The single-request fast path: eager stages, direct charging —
-            # bit-identical to the pre-kernel inline execution.
-            return kernel.run_sync(task)
-        # No kernel, or we are already inside a kernel stage (a server
-        # out-call nested in `container.handle`): run inline.  Nested
-        # out-calls must not re-enter the pools — their cost is part of
-        # the enclosing request's service stage.
-        return drive_inline(task)
 
     def invoke_task(
         self,
@@ -85,7 +78,7 @@ class SoapClient:
         pool), response wire leg + client inbound pipeline.  Under the
         kernel's concurrent regime each stage's cost elapses as one
         schedulable delay, so overlapping requests interleave between
-        stages; under the eager drivers the stages run back-to-back and
+        stages; under the eager driver the stages run back-to-back and
         the charge order is exactly the legacy serial order.
         """
         ctx = PipelineContext.client_request(

@@ -9,7 +9,7 @@ handshakes, LAN round trips — so the benchmark figures are deterministic and
 reproduce the paper's *shapes* rather than this machine's timings.
 """
 
-from repro.sim.clock import Clock, DeferredCharges, Timer
+from repro.sim.clock import Clock, DeferredCharges
 from repro.sim.costs import CostModel
 from repro.sim.errors import QueueFull, SimError
 from repro.sim.faults import (
@@ -23,17 +23,14 @@ from repro.sim.faults import (
 )
 from repro.sim.kernel import (
     Acquire,
-    Channel,
     Delay,
     Effect,
     Kernel,
-    Recv,
     Release,
-    Send,
     Task,
+    Timer,
     Work,
     WorkerPool,
-    drive_inline,
 )
 from repro.sim.metrics import (
     MetricsRecorder,
@@ -66,13 +63,9 @@ __all__ = [
     "Effect",
     "Delay",
     "Work",
-    "Send",
-    "Recv",
     "Acquire",
     "Release",
-    "Channel",
     "WorkerPool",
-    "drive_inline",
     "MetricsRecorder",
     "OperationTrace",
     "Span",

@@ -1,13 +1,14 @@
 """The virtual clock: the single source of time for the whole simulation.
 
 Time is a float in *milliseconds* (matching the paper's reporting unit).
-Components advance time by charging costs; timers let lifetime managers and
-subscription expiries fire at scheduled virtual instants without any real
-sleeping.
+Components advance time by charging costs.  The clock keeps no timers of
+its own: they sit on its :class:`~repro.sim.kernel.Kernel`'s event heap,
+and a charge hands the advance to that kernel, so every timer due inside
+the charge fires at its own instant (DESIGN.md §14).
 
-Two execution regimes share this class (DESIGN.md §14):
+Two execution regimes share this class:
 
-* **Immediate** (the default, and the single-request fast path): every
+* **Immediate** (the default, and the eager driver's regime): every
   ``charge`` advances ``now`` at once, firing due timers mid-advance —
   exactly the behaviour all golden cost ledgers were pinned against.
 * **Deferred** (inside a :class:`~repro.sim.kernel.Kernel` stage): charges
@@ -20,22 +21,11 @@ Two execution regimes share this class (DESIGN.md §14):
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.sim.errors import SimError
-
-
-@dataclass(frozen=True)
-class Timer:
-    """Handle for a scheduled callback; pass to :meth:`Clock.cancel`."""
-
-    fire_at: float
-    seq: int
 
 
 @dataclass
@@ -46,22 +36,21 @@ class DeferredCharges:
 
 
 class Clock:
-    """Monotonic virtual clock with scheduled timers.
+    """Monotonic virtual clock.
 
-    ``charge(ms)`` is the workhorse: it advances time and fires any timer
-    whose deadline falls inside the advance.  Timer callbacks run with the
-    clock set to *their* deadline (so a resource destroyed by a lifetime
-    sweep sees the correct destruction instant), after which the clock
-    continues to the end of the charge.
+    ``charge(ms)`` is the workhorse: it advances time, and the clock's
+    kernel fires every timer whose deadline falls inside the advance.
+    Timer callbacks run with the clock set to *their* deadline (so a
+    resource destroyed by a lifetime sweep sees the correct destruction
+    instant), after which the clock continues to the end of the charge.
     """
 
     def __init__(self, start: float = 0.0, seed: int = 0) -> None:
         self._now = float(start)
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._cancelled: set[int] = set()
-        self._seq = itertools.count()
         #: Non-None while a kernel stage runs with deferred charging.
         self._deferred: DeferredCharges | None = None
+        #: The kernel that owns this timeline's heap; set when one is built.
+        self._kernel = None
         #: The simulation's single source of randomness.  Everything
         #: stochastic (fault injection, backoff jitter) draws from here, so
         #: one seed makes a whole run reproducible.
@@ -95,36 +84,10 @@ class Clock:
             raise SimError(f"cannot charge negative time: {ms}")
         if self._deferred is not None:
             self._deferred.ms += ms
-            return
-        self.advance_to(self._now + ms)
-
-    def advance_to(self, deadline: float) -> None:
-        """Move time forward to ``deadline``, firing due timers in order.
-
-        Backwards movement is a :class:`~repro.sim.errors.SimError`: once
-        several tasks schedule wakeups on one shared timeline, a silent
-        rewind would deliver events before their causes.
-        """
-        if self._deferred is not None:
-            if deadline < self.now:
-                raise SimError(
-                    f"clock cannot move backwards ({deadline} < {self.now}, "
-                    "inside a deferred kernel stage)"
-                )
-            self._deferred.ms = deadline - self._now
-            return
-        if deadline < self._now:
-            raise SimError(
-                f"clock cannot move backwards ({deadline} < {self._now})"
-            )
-        while self._heap and self._heap[0][0] <= deadline:
-            fire_at, seq, callback = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
-                continue
-            self._now = max(self._now, fire_at)
-            callback()
-        self._now = max(self._now, deadline)
+        elif self._kernel is None:
+            self._now += ms
+        else:
+            self._kernel._advance(self._now + ms)
 
     @contextmanager
     def defer_charges(self):
@@ -148,31 +111,3 @@ class Clock:
     def deferring(self) -> bool:
         """True while charges are being deferred (a kernel stage runs)."""
         return self._deferred is not None
-
-    def schedule(self, fire_at: float, callback: Callable[[], None]) -> Timer:
-        """Schedule ``callback`` to run when virtual time reaches ``fire_at``.
-
-        A deadline in the past fires on the next advance (immediately at the
-        current instant), never retroactively.
-        """
-        seq = next(self._seq)
-        heapq.heappush(self._heap, (max(fire_at, self.now), seq, callback))
-        return Timer(fire_at, seq)
-
-    def schedule_after(self, delay_ms: float, callback: Callable[[], None]) -> Timer:
-        return self.schedule(self.now + delay_ms, callback)
-
-    def cancel(self, timer: Timer) -> None:
-        """Cancel a scheduled timer (idempotent; firing is skipped)."""
-        self._cancelled.add(timer.seq)
-
-    def next_timer_at(self) -> float | None:
-        """Deadline of the earliest live timer, or None when idle."""
-        while self._heap and self._heap[0][1] in self._cancelled:
-            _, seq, _ = heapq.heappop(self._heap)
-            self._cancelled.discard(seq)
-        return self._heap[0][0] if self._heap else None
-
-    def pending_timers(self) -> int:
-        """Number of live (not yet fired, not cancelled) timers."""
-        return sum(1 for _, seq, _ in self._heap if seq not in self._cancelled)

@@ -5,34 +5,32 @@ virtual timeline — "two requests in flight" could not even be expressed.
 The kernel turns :mod:`repro.sim` into a true discrete-event engine while
 leaving every single-request cost ledger bit-identical (DESIGN.md §14):
 
-* **Scheduler** — a priority queue of ``(time, seq, action)`` with the
-  monotonic ``seq`` breaking ties FIFO, so runs are deterministic down to
-  event order.  The kernel advances the shared :class:`~repro.sim.clock
-  .Clock` to each event's instant, which fires any due clock timers first,
-  in deadline order — legacy timers and kernel events share one timeline.
+* **One heap** — a priority queue of ``(time, seq, action)`` holding both
+  task events and timers, with the monotonic ``seq`` breaking ties in
+  post order, so runs are deterministic down to event order.  Time passes
+  in one place, :meth:`Kernel._advance`, which runs every due entry with
+  the clock set to that entry's instant; :meth:`Clock.charge
+  <repro.sim.clock.Clock.charge>` and :meth:`Kernel.run` both call it.
 * **Tasks** — cooperative generators yielding :class:`Effect` values:
   :class:`Delay` sleeps virtual time, :class:`Work` runs a synchronous
-  stage and sleeps its measured cost, :class:`Send`/:class:`Recv` pass
-  values through :class:`Channel` rendezvous, :class:`Acquire`/
-  :class:`Release` bracket a per-host worker slot.
+  stage and sleeps its measured cost, :class:`Acquire`/:class:`Release`
+  bracket a per-host worker slot.
 * **Worker pools** — each simulated host serves requests from a bounded
   FIFO queue with ``workers`` slots.  Queueing delay (enqueue → grant) is
   measured separately from service time, which is charged only *after*
   dequeue — the paper's single-request bars stay intact while saturation
   becomes observable as queue growth.
-* **Kernel-owned timers** — :meth:`Kernel.call_at`/:meth:`call_after` run
-  callbacks under the sanitizer's ``<timer>`` pseudo-host, subsuming the
-  ad-hoc ``clock.schedule`` idiom (lint rule RPO14 now fences direct
-  clock/timer mutation outside this module).
+* **Timers** — :meth:`Kernel.call_at`/:meth:`call_after` post callbacks
+  that run under the sanitizer's ``<timer>`` pseudo-host.
 
-Two execution regimes keep the goldens safe:
+Two drivers execute a task generator, and two regimes keep the goldens
+safe:
 
-* With **one live task** (or via :meth:`run_sync`, the single-request fast
-  path every :class:`~repro.container.client.SoapClient` uses when no
-  tasks are in flight) stages execute *eagerly*: charges advance the
-  clock immediately and timers fire mid-charge, exactly like the legacy
-  serial path — bit-identical by construction.
-* With **two or more live tasks** a stage runs under
+* :meth:`Kernel.run_sync` drives one request eagerly: charges advance
+  the clock immediately and timers fire mid-charge, exactly like the
+  legacy serial path.  The same happens in the event loop while **one
+  task** is live.
+* With **two or more live tasks** the event loop runs a stage under
   :meth:`Clock.defer_charges`: its synchronous computation is virtually
   instantaneous, its accumulated cost becomes one :class:`Delay`, and
   other tasks' events interleave inside that window.  Per-category cost
@@ -48,25 +46,22 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable
 
-from repro.sim.clock import Clock, Timer
+from repro.sim.clock import Clock
 from repro.sim.errors import QueueFull, SimError
 from repro.sim.metrics import SampleSet, SpanRecorder
 from repro.sim.sanitizer import TIMER_HOST
 
 __all__ = [
     "Acquire",
-    "Channel",
     "Delay",
     "Effect",
     "Kernel",
     "QueueFull",
-    "Recv",
     "Release",
-    "Send",
     "Task",
+    "Timer",
     "Work",
     "WorkerPool",
-    "drive_inline",
 ]
 
 
@@ -100,21 +95,6 @@ class Work(Effect):
 
     fn: Callable[[], object]
     label: str = ""
-
-
-@dataclass(frozen=True)
-class Send(Effect):
-    """Deposit ``value`` into ``channel`` (never blocks; FIFO buffered)."""
-
-    channel: "Channel"
-    value: object = None
-
-
-@dataclass(frozen=True)
-class Recv(Effect):
-    """Wait for the next value from ``channel`` (FIFO among waiters)."""
-
-    channel: "Channel"
 
 
 @dataclass(frozen=True)
@@ -168,16 +148,12 @@ class Task:
         return self.finished_at - self.scheduled_at
 
 
-class Channel:
-    """Unbounded FIFO rendezvous between tasks (Send never blocks)."""
+@dataclass
+class Timer:
+    """Handle for a callback on the kernel's heap; pass to :meth:`Kernel.cancel`."""
 
-    def __init__(self, name: str = "chan") -> None:
-        self.name = name
-        self._buffer: deque = deque()
-        self._waiters: deque[Task] = deque()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Channel({self.name!r}, buffered={len(self._buffer)})"
+    fire_at: float
+    cancelled: bool = False
 
 
 class WorkerPool:
@@ -209,69 +185,24 @@ class WorkerPool:
     def depth(self) -> int:
         return len(self._queue)
 
-    def snapshot(self) -> dict:
-        return {
-            "host": self.host,
-            "workers": self.workers,
-            "queue_limit": self.queue_limit,
-            "granted": self.granted,
-            "rejected": self.rejected,
-            "max_depth": self.max_depth,
-        }
-
-
-def drive_inline(gen: Generator) -> object:
-    """Run a staged task generator synchronously with no kernel at all.
-
-    The legacy execution model as a driver: :class:`Work` stages run
-    immediately (their charges advance the clock directly), pool and
-    channel effects are meaningless without a kernel — pools are skipped,
-    channels refused.  This is what a kernel-less
-    :class:`~repro.container.client.SoapClient` uses, and it is
-    bit-identical to the pre-kernel inline code path.
-    """
-    payload: object = None
-    thrown: BaseException | None = None
-    while True:
-        try:
-            effect = gen.throw(thrown) if thrown is not None else gen.send(payload)
-        except StopIteration as stop:
-            return stop.value
-        payload, thrown = None, None
-        if isinstance(effect, Work):
-            try:
-                payload = effect.fn()
-            except BaseException as exc:  # rethrown at the yield point
-                thrown = exc
-        elif isinstance(effect, Acquire):
-            payload = 0.0
-        elif isinstance(effect, Release):
-            payload = None
-        elif isinstance(effect, Delay):
-            raise SimError("Delay requires a kernel; inline tasks cannot sleep")
-        else:
-            raise SimError(f"inline driver cannot execute {type(effect).__name__}")
-
 
 class Kernel:
-    """The discrete-event engine owning one clock's concurrent timeline."""
+    """The discrete-event engine owning one clock's timeline.
 
-    def __init__(
-        self,
-        network=None,
-        clock: Clock | None = None,
-        *,
-        default_workers: int = 1,
-        default_queue_limit: int = 16,
-    ) -> None:
+    The kernel's heap is the clock's only schedule: a clock belongs to at
+    most one kernel, and its charges advance through :meth:`_advance`.
+    """
+
+    def __init__(self, network=None, clock: Clock | None = None) -> None:
         if clock is None:
             if network is None:
                 raise SimError("Kernel needs a network or a clock")
             clock = network.clock
+        if clock._kernel is not None:
+            raise SimError("the clock already belongs to a kernel")
+        clock._kernel = self
         self.network = network
         self.clock = clock
-        self.default_workers = default_workers
-        self.default_queue_limit = default_queue_limit
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._tid = itertools.count()
@@ -281,7 +212,7 @@ class Kernel:
         self.current: Task | None = None
         self._in_stage = False
         self._pools: dict[str, WorkerPool] = {}
-        #: Requests completed through :meth:`run_sync` (the fast path).
+        #: Requests completed through :meth:`run_sync`.
         self.sync_requests = 0
 
     # -- worker pools --------------------------------------------------------
@@ -290,7 +221,7 @@ class Kernel:
         """The host's worker pool, created with the defaults on first use."""
         existing = self._pools.get(host)
         if existing is None:
-            existing = WorkerPool(host, self.default_workers, self.default_queue_limit)
+            existing = WorkerPool(host)
             self._pools[host] = existing
         return existing
 
@@ -298,9 +229,6 @@ class Kernel:
         """Size a host's pool before load arrives (replaces any default)."""
         self._pools[host] = WorkerPool(host, workers, queue_limit)
         return self._pools[host]
-
-    def pools(self) -> dict[str, WorkerPool]:
-        return dict(sorted(self._pools.items()))
 
     def max_queue_depths(self) -> dict[str, int]:
         """Per-host high-water queue depth (the saturation report)."""
@@ -313,16 +241,9 @@ class Kernel:
             self._heap, (max(at, self.clock.now), next(self._seq), action)
         )
 
-    def spawn(
-        self,
-        gen: Generator,
-        name: str = "task",
-        *,
-        at: float | None = None,
-        delay: float = 0.0,
-    ) -> Task:
-        """Schedule a task generator to start at ``at`` (default now+delay)."""
-        start = self.clock.now + delay if at is None else at
+    def spawn(self, gen: Generator, name: str = "task", *, at: float | None = None) -> Task:
+        """Schedule a task generator to start at ``at`` (default now)."""
+        start = self.clock.now if at is None else at
         task = Task(gen=gen, name=name, tid=next(self._tid), scheduled_at=start)
         self.tasks.append(task)
         self._live += 1
@@ -330,62 +251,72 @@ class Kernel:
         return task
 
     def call_at(self, fire_at: float, callback: Callable[[], None], label: str = "timer") -> Timer:
-        """Kernel-owned timer: ``callback`` runs at ``fire_at`` under the
-        sanitizer's ``<timer>`` pseudo-host (expiry is the one legitimate
-        cross-host mutation channel besides the wire).
+        """Post ``callback`` to run at ``fire_at`` under the sanitizer's
+        ``<timer>`` pseudo-host (expiry is the one legitimate cross-host
+        mutation channel besides the wire).
 
-        Timers live on the clock's deadline heap, not the kernel event
-        heap: they fire during *any* advance past their deadline — a
-        kernel event, a serial request's charge, or ``run(until=...)`` —
-        so the lease-expiry semantics every golden ledger was pinned
-        against (timers firing mid-charge) are preserved verbatim.
-        Returns a handle for :meth:`cancel`.
+        A deadline in the past fires at the current instant.  The timer
+        fires during *any* advance past its deadline — a kernel event, a
+        serial request's charge, or ``run(until=...)`` — so the lease
+        expiries every golden ledger was pinned against still fire
+        mid-charge.  Returns a handle for :meth:`cancel`.
         """
+        timer = Timer(fire_at)
+        network = self.network
 
         def fire() -> None:
-            if self.network is not None:
-                with self.network.sanitizer_scope(TIMER_HOST, f"kernel:{label}"):
-                    callback()
-            else:
+            if timer.cancelled:
+                return
+            if network is None:
+                callback()
+                return
+            with network.sanitizer_scope(TIMER_HOST, f"kernel:{label}"):
                 callback()
 
-        return self.clock.schedule(fire_at, fire)
+        self._post(fire_at, fire)
+        return timer
 
     def call_after(self, delay_ms: float, callback: Callable[[], None], label: str = "timer") -> Timer:
         return self.call_at(self.clock.now + delay_ms, callback, label)
 
     def cancel(self, timer: Timer) -> None:
         """Cancel a timer returned by :meth:`call_at`/:meth:`call_after`
-        (idempotent; a cancelled deadline is skipped, never fired)."""
-        self.clock.cancel(timer)
+        (idempotent; a cancelled timer is skipped, never fired)."""
+        timer.cancelled = True
 
     # -- the event loop ------------------------------------------------------
 
-    @property
-    def live_tasks(self) -> int:
-        return self._live
-
-    @property
-    def idle(self) -> bool:
-        """No events pending and no task mid-flight."""
-        return not self._heap and self.current is None
-
     def run(self, until: float | None = None) -> None:
-        """Process events in ``(time, seq)`` order until the heap drains.
+        """Let virtual time pass.
 
-        Advancing the shared clock to each event's instant fires any due
-        legacy clock timers first (in deadline order), so kernel events
-        and ad-hoc timers observe one totally-ordered virtual timeline.
+        Without ``until``, run heap entries in ``(time, seq)`` order until
+        no spawned task is live; timers due later stay pending.  With
+        ``until``, run every entry due by then and leave the clock there
+        — the only public way to let time pass without charging it.
         """
-        while self._heap:
-            at, _seq, action = self._heap[0]
-            if until is not None and at > until:
-                break
-            heapq.heappop(self._heap)
-            self.clock.advance_to(at)
+        if until is None:
+            while self._live and self._heap:
+                self._advance(self._heap[0][0])
+            return
+        if until < self.clock.now:
+            raise SimError(
+                f"clock cannot move backwards ({until} < {self.clock.now})"
+            )
+        self._advance(until)
+
+    def _advance(self, until: float) -> None:
+        """Run every heap entry due by ``until`` in ``(time, seq)`` order,
+        the clock set to each entry's instant, then move the clock to
+        ``until``.  Entries at one instant run in the order they were
+        posted, so a timer and a task event tie by post order."""
+        clock = self.clock
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            at, _seq, action = heapq.heappop(heap)
+            clock._now = at
             action()
-        if until is not None and self.clock.now < until:
-            self.clock.advance_to(until)
+        # An entry that charged may have carried the clock past ``until``.
+        clock._now = max(clock._now, until)
 
     # -- task stepping -------------------------------------------------------
 
@@ -455,11 +386,6 @@ class Kernel:
         elif isinstance(effect, Release):
             self._release(self.pool(effect.host))
             self._resume_later(self.clock.now, task)
-        elif isinstance(effect, Send):
-            self._send(effect.channel, effect.value)
-            self._resume_later(self.clock.now, task)
-        elif isinstance(effect, Recv):
-            self._recv(task, effect.channel)
         else:
             self._resume_later(
                 self.clock.now, task,
@@ -530,45 +456,20 @@ class Kernel:
             raise SimError(f"release without acquire on pool {pool.host!r}")
         pool.busy -= 1
 
-    # -- channel mechanics ---------------------------------------------------
-
-    def _send(self, channel: Channel, value) -> None:
-        if channel._waiters:
-            waiter = channel._waiters.popleft()
-            self._resume_later(self.clock.now, waiter, payload=value)
-            return
-        channel._buffer.append(value)
-
-    def _recv(self, task: Task, channel: Channel) -> None:
-        if channel._buffer:
-            self._resume_later(self.clock.now, task, payload=channel._buffer.popleft())
-            return
-        channel._waiters.append(task)
-
-    # -- the single-request fast path ---------------------------------------
-
-    @property
-    def can_run_sync(self) -> bool:
-        """True when a synchronous request may execute eagerly: nothing is
-        in flight, so pool slots are guaranteed free and charge order is
-        exactly the legacy serial order."""
-        return self.current is None and not self._in_stage and self._live == 0
+    # -- the eager driver ----------------------------------------------------
 
     def run_sync(self, gen: Generator) -> object:
         """Drive one request generator to completion, eagerly.
 
-        This is the single-request fast path: every stage charges the
-        clock directly (timers fire mid-charge), pool effects do immediate
-        bookkeeping (a busy pool here would mean concurrency, which
-        :attr:`can_run_sync` excludes), and the result/exception surfaces
-        synchronously.  Cost ledgers are bit-identical to the pre-kernel
-        inline path by construction.
+        Every stage charges the clock directly (timers fire mid-charge)
+        and the result or exception surfaces synchronously, so cost
+        ledgers match the serial path by construction.  Pools are real
+        only for a top-level request with nothing in flight.  A server
+        out-call nested in a stage, or a call made while tasks are live,
+        skips them: its cost belongs to whatever is already running.
         """
-        if not self.can_run_sync:
-            raise SimError(
-                "run_sync while tasks are in flight; spawn a task instead"
-            )
-        self._in_stage = False
+        outer_stage = self._in_stage
+        real_pools = not outer_stage and self._live == 0
         held: list[WorkerPool] = []
         payload: object = None
         thrown: BaseException | None = None
@@ -589,8 +490,11 @@ class Kernel:
                     except BaseException as exc:
                         thrown = exc
                     finally:
-                        self._in_stage = False
+                        self._in_stage = outer_stage
                 elif isinstance(effect, Acquire):
+                    payload = 0.0
+                    if not real_pools:
+                        continue
                     pool = self.pool(effect.host)
                     if pool.busy >= pool.workers:
                         thrown = SimError(
@@ -601,8 +505,9 @@ class Kernel:
                         pool.granted += 1
                         pool.waits.add(0.0)
                         held.append(pool)
-                        payload = 0.0
                 elif isinstance(effect, Release):
+                    if not real_pools:
+                        continue
                     pool = self.pool(effect.host)
                     if pool in held:
                         held.remove(pool)

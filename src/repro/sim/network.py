@@ -79,9 +79,9 @@ class Network:
         #: None keeps every hook free.
         self.sanitizer: SimSanitizer | None = None
         self._connections: dict[tuple[str, str, TransportKind], _ConnectionState] = {}
-        #: The discrete-event kernel owning this network's concurrent
-        #: timeline (DESIGN.md §14).  Serial requests route through its
-        #: single-request fast path; load generators spawn tasks on it.
+        #: The discrete-event kernel owning this network's timeline
+        #: (DESIGN.md §14): every request runs through its eager driver,
+        #: load generators spawn tasks on it, and timers sit on its heap.
         self.kernel = Kernel(self)
 
     # -- helpers ------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sim.clock import Timer
+from repro.sim.kernel import Timer
 from repro.sim.network import Network
 from repro.xmldb.cache import WriteThroughCache
 from repro.xmldb.collection import Collection, DocumentNotFound

@@ -257,42 +257,6 @@ class TestRpo13StoreDiscipline:
         assert findings_for("clean.py", "RPO13") == []
 
 
-class TestRpo14KernelOwnsTime:
-    def test_direct_advance_and_timer_mutation_flagged(self):
-        findings = findings_for("rpo14_bad.py", "RPO14")
-        assert {f.symbol for f in findings} == {
-            "jump_timeline", "jump_via_network",
-            "adhoc_timer", "adhoc_delayed_timer", "forget_timer",
-        }
-
-    def test_messages_name_the_offending_method(self):
-        findings = findings_for("rpo14_bad.py", "RPO14")
-        by_symbol = {f.symbol: f.message for f in findings}
-        assert "clock.advance_to" in by_symbol["jump_timeline"]
-        assert "clock.schedule_after" in by_symbol["adhoc_delayed_timer"]
-        assert "call_at/call_after" in by_symbol["forget_timer"]
-
-    def test_charging_and_kernel_timers_not_flagged(self):
-        findings = findings_for("rpo14_bad.py", "RPO14")
-        assert not any(
-            f.symbol in ("proper_charge", "proper_kernel_timer") for f in findings
-        )
-
-    def test_non_clock_receivers_not_flagged(self):
-        findings = findings_for("rpo14_bad.py", "RPO14")
-        assert not any(
-            f.symbol in ("unrelated_schedule", "unrelated_cancel") for f in findings
-        )
-
-    def test_sim_substrate_is_exempt(self):
-        import repro.sim.kernel as kernel_mod
-
-        assert [f for f in analyze_file(kernel_mod.__file__) if f.rule == "RPO14"] == []
-
-    def test_clean_passes(self):
-        assert findings_for("clean.py", "RPO14") == []
-
-
 class TestRpo15LayerDiscipline:
     def test_every_banned_import_shape_flagged(self):
         findings = findings_for("rpo15_bad_logic.py", "RPO15")

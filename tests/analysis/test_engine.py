@@ -22,8 +22,7 @@ class TestRegistry:
     def test_builtin_rules_registered(self):
         assert list(all_checkers()) == [
             "RPO01", "RPO02", "RPO03", "RPO04", "RPO05", "RPO06", "RPO07",
-            "RPO08", "RPO09", "RPO10", "RPO11", "RPO12", "RPO13", "RPO14",
-            "RPO15",
+            "RPO08", "RPO09", "RPO10", "RPO11", "RPO12", "RPO13", "RPO15",
         ]
 
     def test_get_checker(self):

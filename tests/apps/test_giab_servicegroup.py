@@ -92,5 +92,5 @@ class TestServiceGroupAllocation:
             ),
         )
         assert available(client, allocation, "sort") == ["node1"]
-        deployment.network.clock.advance_to(deadline + 1)
+        deployment.network.kernel.run(until=deadline + 1)
         assert available(client, allocation, "sort") == []

@@ -173,21 +173,21 @@ class TestSubscriptionManager:
             sub, actions.RENEW,
             element(f"{{{ns.WSE}}}Renew", element(f"{{{ns.WSE}}}Expires", repr(later))),
         )
-        deployment.network.clock.advance_to(deadline + 10)
+        deployment.network.kernel.run(until=deadline + 10)
         assert emit(client, source) == 1
 
     def test_expired_subscription_dropped(self, rig):
         deployment, source, _, client, consumer = rig
         deadline = deployment.network.clock.now + 1000
         subscribe(client, source, consumer, expires=repr(deadline))
-        deployment.network.clock.advance_to(deadline + 1)
+        deployment.network.kernel.run(until=deadline + 1)
         assert emit(client, source) == 0
 
     def test_expired_get_status_faults(self, rig):
         deployment, source, _, client, consumer = rig
         deadline = deployment.network.clock.now + 1000
         sub = subscribe(client, source, consumer, expires=repr(deadline))
-        deployment.network.clock.advance_to(deadline + 1)
+        deployment.network.kernel.run(until=deadline + 1)
         with pytest.raises(SoapFault, match="expired"):
             client.invoke(sub, actions.GET_STATUS, element(f"{{{ns.WSE}}}GetStatus"))
 
@@ -208,7 +208,7 @@ class TestSubscriptionManager:
         end_consumer = EventingConsumer(deployment, "client")
         deadline = deployment.network.clock.now + 500
         subscribe(client, source, consumer, expires=repr(deadline), end_to=end_consumer.epr.address)
-        deployment.network.clock.advance_to(deadline + 1)
+        deployment.network.kernel.run(until=deadline + 1)
         emit(client, source)  # triggers prune + SubscriptionEnd
         assert len(end_consumer.ended) == 1
 

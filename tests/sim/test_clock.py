@@ -1,10 +1,16 @@
-"""Unit and property tests for the virtual clock."""
+"""Unit and property tests for the virtual clock, and for the timers its
+charges fire from the kernel's heap."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Clock, SimError
+from repro.sim import Clock, Kernel, SimError
+
+
+def kernel_at(start: float = 0.0) -> Kernel:
+    """A kernel over a fresh clock starting at ``start``."""
+    return Kernel(clock=Clock(start=start))
 
 
 class TestCharge:
@@ -21,11 +27,6 @@ class TestCharge:
         with pytest.raises(ValueError):
             Clock().charge(-1)
 
-    def test_advance_to_backwards_rejected(self):
-        clock = Clock(start=10)
-        with pytest.raises(ValueError):
-            clock.advance_to(5)
-
     @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_monotonic_under_any_charge_sequence(self, charges):
@@ -39,9 +40,10 @@ class TestCharge:
 
 class TestTimers:
     def test_timer_fires_during_charge(self):
-        clock = Clock()
+        kernel = kernel_at()
+        clock = kernel.clock
         fired = []
-        clock.schedule(10.0, lambda: fired.append(clock.now))
+        kernel.call_at(10.0, lambda: fired.append(clock.now))
         clock.charge(5.0)
         assert fired == []
         clock.charge(10.0)
@@ -49,80 +51,77 @@ class TestTimers:
         assert clock.now == 15.0
 
     def test_timers_fire_in_deadline_order(self):
-        clock = Clock()
+        kernel = kernel_at()
         fired = []
-        clock.schedule(20.0, lambda: fired.append("b"))
-        clock.schedule(10.0, lambda: fired.append("a"))
-        clock.schedule(30.0, lambda: fired.append("c"))
-        clock.advance_to(25.0)
+        kernel.call_at(20.0, lambda: fired.append("b"))
+        kernel.call_at(10.0, lambda: fired.append("a"))
+        kernel.call_at(30.0, lambda: fired.append("c"))
+        kernel.run(until=25.0)
         assert fired == ["a", "b"]
-        clock.advance_to(35.0)
+        kernel.run(until=35.0)
         assert fired == ["a", "b", "c"]
 
     def test_same_deadline_fifo(self):
-        clock = Clock()
+        kernel = kernel_at()
         fired = []
-        clock.schedule(10.0, lambda: fired.append(1))
-        clock.schedule(10.0, lambda: fired.append(2))
-        clock.advance_to(10.0)
+        kernel.call_at(10.0, lambda: fired.append(1))
+        kernel.call_at(10.0, lambda: fired.append(2))
+        kernel.run(until=10.0)
         assert fired == [1, 2]
 
     def test_cancel(self):
-        clock = Clock()
+        kernel = kernel_at()
         fired = []
-        timer = clock.schedule(10.0, lambda: fired.append(1))
-        clock.cancel(timer)
-        clock.advance_to(20.0)
+        timer = kernel.call_at(10.0, lambda: fired.append(1))
+        kernel.cancel(timer)
+        kernel.run(until=20.0)
         assert fired == []
-        assert clock.pending_timers() == 0
 
     def test_cancel_idempotent(self):
-        clock = Clock()
-        timer = clock.schedule(10.0, lambda: None)
-        clock.cancel(timer)
-        clock.cancel(timer)
-        clock.advance_to(20.0)
+        kernel = kernel_at()
+        timer = kernel.call_at(10.0, lambda: None)
+        kernel.cancel(timer)
+        kernel.cancel(timer)
+        kernel.run(until=20.0)
 
     def test_past_deadline_fires_at_now(self):
-        clock = Clock(start=100)
+        kernel = kernel_at(100)
         fired = []
-        clock.schedule(5.0, lambda: fired.append(clock.now))
-        clock.charge(0.0)
+        kernel.call_at(5.0, lambda: fired.append(kernel.clock.now))
+        kernel.clock.charge(0.0)
         assert fired == [100.0]
 
     def test_schedule_after(self):
-        clock = Clock(start=10)
+        kernel = kernel_at(10)
         fired = []
-        clock.schedule_after(5.0, lambda: fired.append(clock.now))
-        clock.charge(10)
+        kernel.call_after(5.0, lambda: fired.append(kernel.clock.now))
+        kernel.clock.charge(10)
         assert fired == [15.0]
 
     def test_timer_scheduling_timer(self):
-        clock = Clock()
+        kernel = kernel_at()
         fired = []
 
         def first():
             fired.append("first")
-            clock.schedule(clock.now + 1, lambda: fired.append("second"))
+            kernel.call_at(kernel.clock.now + 1, lambda: fired.append("second"))
 
-        clock.schedule(10, first)
-        clock.advance_to(20)
+        kernel.call_at(10, first)
+        kernel.run(until=20)
         assert fired == ["first", "second"]
 
-    def test_pending_timers_counts_live_only(self):
-        clock = Clock()
-        t1 = clock.schedule(10, lambda: None)
-        clock.schedule(20, lambda: None)
-        clock.cancel(t1)
-        assert clock.pending_timers() == 1
+    def test_a_clock_belongs_to_one_kernel(self):
+        kernel = kernel_at()
+        with pytest.raises(SimError, match="already belongs"):
+            Kernel(clock=kernel.clock)
 
 
 class TestSimErrors:
     def test_backwards_advance_raises_sim_error(self):
-        clock = Clock(start=100)
+        kernel = kernel_at(100)
         with pytest.raises(SimError, match="cannot move backwards"):
-            clock.advance_to(50.0)
-        assert clock.now == 100.0  # the timeline did not silently rewind
+            kernel.run(until=50.0)
+        assert kernel.clock.now == 100.0  # the timeline did not silently rewind
 
     def test_negative_charge_raises_sim_error(self):
         clock = Clock()
@@ -146,13 +145,14 @@ class TestDeferredCharges:
         assert clock.now == 0.0  # the kernel owns the eventual advance
 
     def test_deferred_timers_do_not_fire(self):
-        clock = Clock()
+        kernel = kernel_at()
+        clock = kernel.clock
         fired = []
-        clock.schedule(3.0, lambda: fired.append(clock.now))
+        kernel.call_at(3.0, lambda: fired.append(clock.now))
         with clock.defer_charges():
             clock.charge(10.0)
             assert fired == []  # stages are atomic; timers wait for the sleep
-        clock.advance_to(10.0)
+        kernel.run(until=10.0)
         assert fired == [3.0]
 
     def test_deferral_cannot_nest(self):
@@ -162,33 +162,9 @@ class TestDeferredCharges:
                 with clock.defer_charges():
                     pass
 
-    def test_deferred_advance_to_moves_local_time(self):
-        # Lease-expiry math mid-stage uses advance_to(now + ms); inside a
-        # stage that must extend the pending total, not the shared clock.
-        clock = Clock(start=50)
-        with clock.defer_charges() as pending:
-            clock.advance_to(clock.now + 20.0)
-            assert pending.ms == 20.0
-            with pytest.raises(SimError, match="cannot move backwards"):
-                clock.advance_to(60.0)  # behind the local now of 70
-        assert clock._now == 50.0
-
     def test_deferring_property(self):
         clock = Clock()
         assert not clock.deferring
         with clock.defer_charges():
             assert clock.deferring
         assert not clock.deferring
-
-
-class TestNextTimerAt:
-    def test_earliest_live_deadline(self):
-        clock = Clock()
-        early = clock.schedule(5.0, lambda: None)
-        clock.schedule(9.0, lambda: None)
-        assert clock.next_timer_at() == 5.0
-        clock.cancel(early)
-        assert clock.next_timer_at() == 9.0
-
-    def test_idle_clock_has_none(self):
-        assert Clock().next_timer_at() is None

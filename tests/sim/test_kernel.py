@@ -4,22 +4,18 @@ import pytest
 
 from repro.sim import (
     Acquire,
-    Channel,
     Clock,
     Delay,
     Kernel,
     QueueFull,
-    Recv,
     Release,
-    Send,
     SimError,
     Work,
-    drive_inline,
 )
 
 
-def fresh_kernel(**overrides):
-    return Kernel(clock=Clock(), **overrides)
+def fresh_kernel():
+    return Kernel(clock=Clock())
 
 
 class TestScheduling:
@@ -302,47 +298,6 @@ class TestWorkerPools:
         assert waiter.latency_ms == 17.0  # 7 queued + 10 service
 
 
-class TestChannels:
-    def test_send_then_recv(self):
-        kernel = fresh_kernel()
-        chan = Channel("c")
-        got = []
-
-        def producer():
-            yield Delay(5.0)
-            yield Send(chan, "payload")
-
-        def consumer():
-            value = yield Recv(chan)
-            got.append((value, kernel.clock.now))
-
-        kernel.spawn(consumer())
-        kernel.spawn(producer())
-        kernel.run()
-        assert got == [("payload", 5.0)]
-
-    def test_buffered_send_does_not_block(self):
-        kernel = fresh_kernel()
-        chan = Channel("c")
-
-        def producer():
-            yield Send(chan, 1)
-            yield Send(chan, 2)
-            return "sent"
-
-        def late_consumer():
-            yield Delay(10.0)
-            first = yield Recv(chan)
-            second = yield Recv(chan)
-            return (first, second)
-
-        sender = kernel.spawn(producer())
-        receiver = kernel.spawn(late_consumer())
-        kernel.run()
-        assert sender.result == "sent"
-        assert receiver.result == (1, 2)
-
-
 class TestKernelTimers:
     def test_call_at_interleaves_with_tasks(self):
         kernel = fresh_kernel()
@@ -357,21 +312,36 @@ class TestKernelTimers:
         kernel.run()
         assert order == [("timer", 5.0), ("task", 10.0)]
 
-    def test_legacy_clock_timers_fire_in_global_order(self):
-        # Ad-hoc clock.schedule timers and kernel events share one
-        # timeline: a clock timer due before the next kernel event fires
-        # first.
+    def test_timer_and_task_event_at_one_instant_run_in_post_order(self):
+        # One heap: entries due at the same instant run in the order they
+        # were posted, whether they are timers or task events.
         kernel = fresh_kernel()
         order = []
-        kernel.clock.schedule(3.0, lambda: order.append(("clock", 3.0)))
 
         def task():
-            yield Delay(7.0)
-            order.append(("task", kernel.clock.now))
+            yield Delay(5.0)
+            order.append("task")
 
+        kernel.call_at(5.0, lambda: order.append("early timer"))
+        kernel.spawn(task())
+        kernel.run(until=1.0)  # the task has posted its wake-up at 5
+        kernel.call_at(5.0, lambda: order.append("late timer"))
+        kernel.run(until=5.0)
+        assert order == ["early timer", "task", "late timer"]
+
+    def test_run_without_until_leaves_later_timers_pending(self):
+        kernel = fresh_kernel()
+        fired = []
+
+        def task():
+            yield Delay(10.0)
+
+        kernel.call_at(50.0, lambda: fired.append(kernel.clock.now))
         kernel.spawn(task())
         kernel.run()
-        assert order == [("clock", 3.0), ("task", 7.0)]
+        assert (fired, kernel.clock.now) == ([], 10.0)
+        kernel.run(until=60.0)
+        assert fired == [50.0]
 
 
 class TestRunSync:
@@ -389,16 +359,52 @@ class TestRunSync:
         assert kernel.pool("h").busy == 0
         assert kernel.sync_requests == 1
 
-    def test_refused_while_tasks_live(self):
+    def test_nested_call_skips_pools(self):
+        # A server out-call inside a stage runs eagerly without taking a
+        # worker slot; the enclosing stage is still a stage afterwards.
+        kernel = fresh_kernel()
+        seen = {}
+
+        def out_call():
+            yield Acquire("h")
+            value = yield Work(lambda: kernel.clock.charge(3.0) or 9)
+            yield Release("h")
+            return value
+
+        def handle():
+            seen["value"] = kernel.run_sync(out_call())
+            seen["in_stage"] = kernel._in_stage
+
+        def request():
+            yield Acquire("h")
+            yield Work(handle)
+            yield Release("h")
+
+        kernel.run_sync(request())
+        assert seen == {"value": 9, "in_stage": True}
+        assert not kernel._in_stage
+        assert kernel.clock.now == 3.0
+        assert kernel.pool("h").granted == 1  # the outer request's slot only
+
+    def test_call_while_tasks_live_skips_pools(self):
         kernel = fresh_kernel()
 
-        def task():
+        def holder():
+            yield Acquire("h")
             yield Delay(10.0)
+            yield Release("h")
 
-        kernel.spawn(task())
-        assert not kernel.can_run_sync
-        with pytest.raises(SimError, match="in flight"):
-            kernel.run_sync(task())
+        kernel.spawn(holder())
+        kernel.run(until=1.0)  # the task holds h's only worker
+
+        def request():
+            yield Acquire("h")
+            value = yield Work(lambda: "ok")
+            yield Release("h")
+            return value
+
+        assert kernel.run_sync(request()) == "ok"
+        assert kernel.pool("h").granted == 1
 
     def test_abandoned_request_releases_its_worker(self):
         kernel = fresh_kernel()
@@ -419,27 +425,6 @@ class TestRunSync:
 
         with pytest.raises(ValueError, match="bad"):
             kernel.run_sync(request())
-
-
-class TestDriveInline:
-    def test_runs_stages_with_no_kernel(self):
-        clock = Clock()
-
-        def request():
-            yield Acquire("h")  # bookkeeping-free without a kernel
-            value = yield Work(lambda: clock.charge(3.0) or 9)
-            yield Release("h")
-            return value
-
-        assert drive_inline(request()) == 9
-        assert clock.now == 3.0
-
-    def test_delay_requires_a_kernel(self):
-        def request():
-            yield Delay(1.0)
-
-        with pytest.raises(SimError, match="requires a kernel"):
-            drive_inline(request())
 
 
 class TestDeterminism:

@@ -238,7 +238,7 @@ class TestSubscriptionEdgeCases:
 
         deadline = deployment.network.clock.now + 1000
         subscribe(client, sensor, consumer, termination=repr(deadline))
-        deployment.network.clock.advance_to(deadline)  # exactly at the deadline
+        deployment.network.kernel.run(until=deadline)  # exactly at the deadline
         assert emit(client, sensor) == 0  # termination fires at <= deadline
 
 

@@ -118,11 +118,12 @@ class TestGeneratedCorpus:
             _assert_equivalent(outcome)
 
     @pytest.mark.soak
-    def test_soak_corpus(self):
-        """The larger sweep behind ``scripts/check.sh --soak``."""
+    def test_soak_corpus(self, tmp_path):
+        """The larger sweep behind ``scripts/check.sh --soak``; its summary
+        goes to ``tmp_path``, never over the committed default-corpus one."""
         from repro.testkit.cli import run_conformance
 
-        summary = run_conformance(240, 0, 12, out_dir="results", verbose=False)
+        summary = run_conformance(240, 0, 12, out_dir=str(tmp_path), verbose=False)
         assert summary["divergences"] == 0
         assert summary["invalid_programs"] == 0
 

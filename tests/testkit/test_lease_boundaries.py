@@ -43,10 +43,10 @@ class TestExpiryTick:
         # Shortly before the boundary: alive and reporting a finite lease.
         # (The status request itself costs virtual time, so leave room for
         # its wire costs to not cross the deadline.)
-        clock.advance_to(deadline - 1_000.0)
+        rig.deployment.network.kernel.run(until=deadline - 1_000.0)
         assert rig.client.subscription_status(subscription) != ""
         # At the boundary, not past it: dead on both stacks.
-        clock.advance_to(deadline)
+        rig.deployment.network.kernel.run(until=deadline)
         with pytest.raises(SoapFault) as outcome:
             rig.client.subscription_status(subscription)
         assert fault_family(outcome.value) == "unknown-resource"
@@ -69,7 +69,7 @@ class TestExpiryTick:
         clock = rig.deployment.network.clock
         deadline = clock.now + 10_000.0
         subscription = _subscribe(rig, counter, deadline)
-        clock.advance_to(deadline)
+        rig.deployment.network.kernel.run(until=deadline)
         with pytest.raises(SoapFault) as outcome:
             rig.client.renew_subscription(subscription, clock.now + 60_000.0)
         assert fault_family(outcome.value) == "unknown-resource"
@@ -79,7 +79,7 @@ class TestExpiryTick:
         clock = rig.deployment.network.clock
         deadline = clock.now + 10_000.0
         subscription = _subscribe(rig, counter, deadline)
-        clock.advance_to(deadline + 1.0)
+        rig.deployment.network.kernel.run(until=deadline + 1.0)
         with pytest.raises(SoapFault) as outcome:
             rig.client.unsubscribe(subscription)
         assert fault_family(outcome.value) == "unknown-resource"
@@ -102,7 +102,7 @@ class TestRenewalBoundary:
         first = clock.now + 10_000.0
         subscription = _subscribe(rig, counter, first)
         rig.client.renew_subscription(subscription, first + 50_000.0)
-        clock.advance_to(first + 1.0)
+        rig.deployment.network.kernel.run(until=first + 1.0)
         # Outlived its original deadline thanks to the renewal.
         assert rig.client.subscription_status(subscription) != ""
 
@@ -112,7 +112,7 @@ class TestRenewalBoundary:
         deadline = clock.now + 10_000.0
         subscription = _subscribe(rig, counter, deadline)
         rig.client.renew_subscription(subscription, None)
-        clock.advance_to(deadline + 1_000_000.0)
+        rig.deployment.network.kernel.run(until=deadline + 1_000_000.0)
         status = rig.client.subscription_status(subscription)
         assert status.lower() in ("", "infinity", "never")
 

@@ -123,7 +123,7 @@ class TestSubscriptionManagement:
         deadline = deployment.network.clock.now + 5000
         subscribe(client, sensor, consumer, termination=repr(deadline))
         assert emit(client, sensor) == 1
-        deployment.network.clock.advance_to(deadline + 1)
+        deployment.network.kernel.run(until=deadline + 1)
         assert emit(client, sensor) == 0
 
     def test_renew_via_set_termination_time(self, rig):
@@ -138,7 +138,7 @@ class TestSubscriptionManagement:
                 element(f"{{{ns.WSRF_RL}}}RequestedTerminationTime", repr(deadline + 50_000)),
             ),
         )
-        deployment.network.clock.advance_to(deadline + 100)
+        deployment.network.kernel.run(until=deadline + 100)
         assert emit(client, sensor) == 1
 
     def test_subscription_rps(self, rig):

@@ -58,7 +58,7 @@ class TestSetTerminationTime:
         epr = create_counter(service, client)
         deadline = deployment.network.clock.now + 1000
         self.set_tt(client, epr, repr(deadline))
-        deployment.network.clock.advance_to(deadline + 1)
+        deployment.network.kernel.run(until=deadline + 1)
         assert not service.home.contains(epr.property(RESOURCE_ID))
 
     def test_scheduled_termination_fires_hook(self, rig):
@@ -66,7 +66,7 @@ class TestSetTerminationTime:
         epr = create_counter(service, client)
         deadline = deployment.network.clock.now + 500
         self.set_tt(client, epr, repr(deadline))
-        deployment.network.clock.advance_to(deadline + 1)
+        deployment.network.kernel.run(until=deadline + 1)
         assert epr.property(RESOURCE_ID) in service.destroyed
 
     def test_lengthening_supersedes_schedule(self, rig):
@@ -76,7 +76,7 @@ class TestSetTerminationTime:
         first = deployment.network.clock.now + 500
         self.set_tt(client, epr, repr(first))
         self.set_tt(client, epr, repr(first + 10_000))
-        deployment.network.clock.advance_to(first + 100)
+        deployment.network.kernel.run(until=first + 100)
         assert service.home.contains(epr.property(RESOURCE_ID))
 
     def test_infinity_cancels_schedule(self, rig):
@@ -85,7 +85,7 @@ class TestSetTerminationTime:
         deadline = deployment.network.clock.now + 500
         self.set_tt(client, epr, repr(deadline))
         self.set_tt(client, epr, "infinity")
-        deployment.network.clock.advance_to(deadline + 100)
+        deployment.network.kernel.run(until=deadline + 100)
         assert service.home.contains(epr.property(RESOURCE_ID))
 
     def test_past_time_faults(self, rig):

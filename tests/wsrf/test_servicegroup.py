@@ -104,7 +104,7 @@ class TestEntryLifetime:
                 element(f"{{{RL}}}RequestedTerminationTime", repr(deadline)),
             ),
         )
-        deployment.network.clock.advance_to(deadline + 1)
+        deployment.network.kernel.run(until=deadline + 1)
         assert group.members() == []
 
     def test_remove_entry_helper(self, rig):
