@@ -74,7 +74,8 @@ class WsrfFacadeService(ServiceSkeleton):
 
     @web_method(rp_actions.SET)
     def bridged_set_resource_properties(self, context: MessageContext) -> XmlElement:
-        representation = self._fetch_representation(context)
+        # The fetched representation is the received (sealed) Get response.
+        representation = self._fetch_representation(context).copy()
         changed = 0
         for modifier in context.body.element_children():
             if modifier.tag.local not in ("Update", "Insert"):

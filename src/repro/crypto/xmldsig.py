@@ -17,7 +17,7 @@ from repro.crypto.x509 import Certificate
 from repro.xmllib import canonicalize, element, text_of
 from repro.xmllib import ns
 from repro.xmllib.c14n import render_canonical
-from repro.xmllib.element import XmlElement, content_key
+from repro.xmllib.element import XmlElement, content_key, seal
 from repro.xmllib.memo import ContentCache, memo_enabled
 
 
@@ -32,19 +32,20 @@ _DIGEST_ALG = ns.DSIG_SHA1
 # Content-keyed memoization (DESIGN.md §16).  Digests, signatures and
 # verification verdicts are pure functions of (content, key material):
 # PKCS#1 v1.5 signing is deterministic, so a cached signature is
-# byte-identical to a freshly computed one, and content keys change on any
-# mutation of the covered tree, so stale entries can only miss.  Cached
-# Signature elements are private copies — callers get a fresh copy per hit
-# and can never mutate the cached instance.  Verification caches successes
-# only; failures always re-raise through the full path.
+# byte-identical to a freshly computed one.  Keys are content keys, which
+# seal the trees they describe, so a keyed tree can never change under its
+# entry.  Signing seals its target and its result in both caching modes,
+# and the signature cache returns its sealed ``ds:Signature`` itself: no
+# caller can mutate it.  Verification caches successes only; failures
+# always re-raise through the full path.
 _DIGESTS = ContentCache("dsig.digest", capacity=8192)
 _SIGNATURES = ContentCache("dsig.sign", capacity=2048)
 _VERIFIED = ContentCache("dsig.verify", capacity=8192)
 
 
 def _digest(target: XmlElement) -> str:
+    key = content_key(target)
     if memo_enabled():
-        key = content_key(target)
         cached = _DIGESTS.get(key)
         if cached is not None:
             return cached
@@ -78,11 +79,13 @@ def sign_element(
     *,
     reference_uri: str = "#Body",
 ) -> XmlElement:
-    """Produce a ``ds:Signature`` element covering ``target``."""
+    """Produce a sealed ``ds:Signature`` element covering ``target``, which
+    is sealed too."""
+    target_key = content_key(target)
     enabled = memo_enabled()
     if enabled:
         cache_key = (
-            content_key(target),
+            target_key,
             reference_uri,
             keypair.n,
             keypair.d,
@@ -90,7 +93,7 @@ def sign_element(
         )
         cached = _SIGNATURES.get(cache_key)
         if cached is not None:
-            return cached.copy()
+            return cached
     signed_info = _signed_info(_digest(target), reference_uri)
     signature_bytes = keypair.sign(canonicalize(signed_info).encode())
     signature = element(
@@ -102,8 +105,9 @@ def sign_element(
             element(f"{{{ns.DS}}}X509SubjectName", str(certificate.subject)),
         ),
     )
+    seal(signature)
     if enabled:
-        _SIGNATURES.put(cache_key, signature.copy())
+        _SIGNATURES.put(cache_key, signature)
     return signature
 
 
@@ -126,18 +130,12 @@ def verify_element(
 
     Checks both layers: the reference digest against the canonicalized
     target (tamper evidence) and the RSA signature over SignedInfo
-    (authenticity).
+    (authenticity).  Seals ``target`` and ``signature``.
     """
+    cache_key = (content_key(target), content_key(signature), public_key.n, public_key.e)
     enabled = memo_enabled()
-    if enabled:
-        cache_key = (
-            content_key(target),
-            content_key(signature),
-            public_key.n,
-            public_key.e,
-        )
-        if _VERIFIED.get(cache_key) is not None:
-            return
+    if enabled and _VERIFIED.get(cache_key) is not None:
+        return
     signed_info = signature.find(f"{{{ns.DS}}}SignedInfo")
     if signed_info is None:
         raise DsigError("signature has no SignedInfo")

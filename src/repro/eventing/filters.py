@@ -17,7 +17,7 @@ subscription per resource" — by matching on an id inside the payload.
 from __future__ import annotations
 
 from repro.xmllib import element, ns
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, seal
 from repro.xmllib.xpath import XPathError, compile_xpath
 
 FILTER_DIALECT_XPATH = ns.XPATH_DIALECT
@@ -27,7 +27,7 @@ def event_wrapper(message: XmlElement, topic: str = "") -> XmlElement:
     wrapper = element(f"{{{ns.WSE}}}Event")
     if topic:
         wrapper.set("Topic", topic)
-    wrapper.append(message.copy())
+    wrapper.append(seal(message))
     return wrapper
 
 

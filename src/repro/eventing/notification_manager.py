@@ -25,7 +25,7 @@ from repro.eventing.store import FlatFileSubscriptionStore, SubscriptionRecord
 from repro.sim.faults import DeliveryFault
 from repro.soap.envelope import build_envelope
 from repro.xmllib import element, ns
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, seal
 
 
 class NotificationManager:
@@ -111,9 +111,9 @@ class NotificationManager:
             )
             if topic:
                 wrapper.set("Topic", topic)
-            wrapper.append(message.copy())
+            wrapper.append(seal(message))
             return wrapper
-        return message.copy()
+        return seal(message)
 
     def _send_subscription_end(self, source_service, record: SubscriptionRecord, reason: str) -> None:
         if not record.end_to:

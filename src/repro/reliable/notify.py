@@ -19,7 +19,7 @@ from repro.reliable.policy import RetryPolicy
 from repro.reliable.sequence import OutboundSequence, sequence_header
 from repro.sim.faults import DeliveryFault
 from repro.soap.envelope import build_envelope
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, seal
 
 
 class ReliableNotifier:
@@ -80,7 +80,7 @@ class ReliableNotifier:
         for attempt in range(1, self.policy.max_attempts + 1):
             attempts = attempt
             envelope = build_envelope(
-                [sequence_header(sequence.identifier, number)], [payload.copy()]
+                [sequence_header(sequence.identifier, number)], [seal(payload)]
             )
             try:
                 accepted = self.deployment.deliver_notification(

@@ -5,12 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.xmllib import QName, element, ns, parse_xml, text_of
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, seal
 
 _ENVELOPE = QName(ns.SOAP, "Envelope")
 _HEADER = QName(ns.SOAP, "Header")
 _BODY = QName(ns.SOAP, "Body")
 _FAULT = QName(ns.SOAP, "Fault")
+_NO_HEADER = seal(element(_HEADER))
 
 
 class SoapFault(Exception):
@@ -58,11 +59,10 @@ class Envelope:
 
     @property
     def header(self) -> XmlElement:
+        """The soap:Header, or an empty detached (sealed) one when there is
+        none: reading never edits the envelope."""
         node = self.root.find(_HEADER)
-        if node is None:
-            node = element(_HEADER)
-            self.root.children.insert(0, node)
-        return node
+        return _NO_HEADER if node is None else node
 
     @property
     def body(self) -> XmlElement:

@@ -1,16 +1,15 @@
 """Wire messages: an envelope plus its serialized form.
 
 Messages really are serialized before "transmission" — the byte counts
-that drive transport costs are always genuine.  On receipt the tree is
-normally re-parsed from those bytes, exactly as it would be after
-crossing a real wire; as a wall-clock memoization (DESIGN.md §16), a
-message may instead materialize the receiver's tree as a deep copy of
-the sender's envelope — but only when the envelope's content key still
-matches the one recorded at serialization time, proving the source was
-not mutated after send, in which case the copy and the re-parse are
-equivalent trees (the round-trip property the c14n fuzz tests pin).
-Under :func:`repro.xmllib.memo.caching_disabled` every receipt is a full
-re-parse.
+that drive transport costs are always genuine.  Sending seals the envelope
+(see :mod:`repro.xmllib.element`), so the tree that was serialized can no
+longer change.  As a wall-clock memoization (DESIGN.md §16) the receiver
+then gets the sender's sealed tree itself: it is equal to what re-parsing
+the bytes would build (the round-trip property the c14n fuzz tests pin),
+and neither side can edit it.  Under
+:func:`repro.xmllib.memo.caching_disabled` every receipt is a full
+re-parse, and the re-parsed tree is sealed too, so both modes hand the
+receiver a tree that rejects the same edits.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.soap.envelope import Envelope, parse_envelope
 from repro.xmllib import serialize
-from repro.xmllib.element import content_key
+from repro.xmllib.element import XmlElement, seal
 from repro.xmllib.memo import memo_enabled
 
 
@@ -28,19 +27,16 @@ class WireMessage:
     """One message in flight."""
 
     text: str
-    #: The envelope this message was serialized from, plus its content key
-    #: at serialization time (wall-clock fast path only; never compared).
-    _source: Envelope | None = field(default=None, compare=False, repr=False)
-    _source_key: tuple | None = field(default=None, compare=False, repr=False)
+    #: The sealed root this message was serialized from (wall-clock fast
+    #: path only; never compared).
+    _source: XmlElement | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_envelope(cls, envelope: Envelope) -> "WireMessage":
-        if memo_enabled():
-            # Keying before serializing warms the tree's memos, which is
-            # what arms serialize()'s fragment reuse for this envelope.
-            key = content_key(envelope.root)
-            return cls(serialize(envelope.root, xml_declaration=True), envelope, key)
-        return cls(serialize(envelope.root, xml_declaration=True))
+        # Sealing keys every node, which is also what arms serialize()'s
+        # fragment reuse for this envelope.
+        root = seal(envelope.root)
+        return cls(serialize(root, xml_declaration=True), root)
 
     @property
     def n_bytes(self) -> int:
@@ -51,15 +47,12 @@ class WireMessage:
         return self.n_bytes / 1024.0
 
     def parse(self) -> Envelope:
-        source = self._source
-        if (
-            source is not None
-            and memo_enabled()
-            and content_key(source.root) == self._source_key
-        ):
-            return Envelope(source.root.copy())
+        if self._source is not None and memo_enabled():
+            return Envelope(self._source)
         text = self.text
         if text.startswith("<?xml"):
             end = text.find("?>")
             text = text[end + 2 :]
-        return parse_envelope(text)
+        envelope = parse_envelope(text)
+        seal(envelope.root)
+        return envelope

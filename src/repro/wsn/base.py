@@ -29,7 +29,7 @@ from repro.wsrf.programming import (
 from repro.wsrf.properties import ResourcePropertiesMixin
 from repro.wsrf.resource import RESOURCE_ID, ResourceUnknownError
 from repro.xmllib import element, ns, text_of
-from repro.xmllib.element import XmlElement
+from repro.xmllib.element import XmlElement, seal
 from repro.xmllib.xpath import XPathError, compile_xpath
 
 
@@ -336,7 +336,7 @@ class NotificationProducerMixin:
 
     def _deliver(self, view: SubscriptionView, topic: str, message: XmlElement) -> bool:
         if view.use_raw:
-            payload = message.copy()
+            payload = seal(message)
         else:
             payload = element(
                 f"{{{ns.WSNT}}}Notify",
@@ -348,7 +348,7 @@ class NotificationProducerMixin:
                         attrs={"Dialect": TopicDialect.CONCRETE.value},
                     ),
                     self.epr().to_xml(f"{{{ns.WSNT}}}ProducerReference"),
-                    element(f"{{{ns.WSNT}}}Message", message.copy()),
+                    element(f"{{{ns.WSNT}}}Message", seal(message)),
                 ),
             )
         deployment = self.container.deployment

@@ -22,10 +22,10 @@ cache: the second message of a soak canonicalizes its (unchanged)
 SignedInfo in one dict lookup.  :func:`render_canonical` is the same
 writer without the cache, for callers that cache a value derived from the
 text instead.
-Mutating any node bumps version counters up the tree (see
-:mod:`repro.xmllib.element`), changing the content key, so a stale entry can
-never be replayed.  The writer itself is iterative and survives ~1000-deep
-documents.
+:func:`canonicalize` seals the tree it renders, with or without the cache
+(see :mod:`repro.xmllib.element`): a sealed tree cannot change, so a cached
+entry can never be replayed for different content.  The writer itself is
+iterative and survives ~1000-deep documents.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ _C14N = ContentCache("c14n.text", capacity=8192)
 
 
 def canonicalize(root: XmlElement) -> str:
-    """Render ``root`` in the canonical form described above, memoized."""
+    """Seal ``root`` and render it in the canonical form described above,
+    memoized."""
+    key = content_key(root)
     enabled = memo_enabled()
     if enabled:
-        key = content_key(root)
         cached = _C14N.get(key)
         if cached is not None:
             return cached

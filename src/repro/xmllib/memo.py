@@ -15,10 +15,11 @@ module owns the machinery every cache in ``repro.xmllib`` and
 * :func:`caching_disabled` — the uncached-baseline switch the
   ``msgperf`` benchmark uses to measure honest speedups.
 
-Every cached value is a pure function of its key, and keys incorporate
-either content hashes or the mutation version counters maintained by
-:class:`~repro.xmllib.element.XmlElement` — mutating a tree can never
-yield a stale cached answer, only a miss (the property tests in
+Every cached value is a pure function of its key.  A key that stands for
+a tree is that tree's content key, and
+:func:`~repro.xmllib.element.content_key` *seals* the tree it keys, which
+then can no longer change — so a cached answer can never go stale (the
+property tests in
 ``tests/xmllib/test_memo_coherence.py`` pin this down).  The caches are
 process-wide and shared across simulated hosts; that is sound for the
 same reason ``rsa._KEY_CACHE`` is: the worst outcome of sharing is a
@@ -43,8 +44,10 @@ def caching_disabled():
     """Run with every content cache bypassed (the uncached baseline).
 
     Global caches are cleared on entry so a following cached measurement
-    starts cold and earns its hits; element-level memos are version-keyed
-    and need no clearing to stay correct.
+    starts cold and earns its hits, and every received message is re-parsed
+    from its bytes.  Sealing is not a cache: trees are sealed at the same
+    points in both modes, and the content keys sealed nodes hold need no
+    clearing, since a sealed tree cannot change.
     """
     global _ENABLED
     previous = _ENABLED

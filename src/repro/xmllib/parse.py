@@ -3,14 +3,13 @@
 We lean on the standard library's expat-backed ``xml.etree.ElementTree`` for
 tokenization and namespace resolution (it emits Clark-notation tags), then
 rebuild the tree in our own mixed-content representation.  The rebuild is
-iterative (an explicit work stack) and links freshly built nodes directly,
-so deep documents neither exhaust the recursion limit nor pay any
-version-bump propagation during construction.
+iterative (an explicit work stack), so deep documents do not exhaust the
+recursion limit.  Parsed trees are unsealed (see
+:mod:`repro.xmllib.element`); the SOAP layer seals what it receives.
 """
 
 from __future__ import annotations
 
-import weakref
 import xml.etree.ElementTree as ET
 
 from repro.xmllib.element import XmlElement, _blank
@@ -37,7 +36,6 @@ def parse_xml(text: str | bytes) -> XmlElement:
 
 def _convert(root: ET.Element) -> XmlElement:
     parse = QName.parse
-    ref = weakref.ref
 
     def make(node: ET.Element) -> XmlElement:
         attributes: dict[QName, str] = {}
@@ -47,18 +45,15 @@ def _convert(root: ET.Element) -> XmlElement:
 
     out_root = make(root)
     stack: list[tuple[ET.Element, XmlElement]] = [(root, out_root)]
-    # Fresh nodes carry no memos, so children are attached with raw list
-    # appends and explicit parent links — no version bumps to propagate.
     while stack:
         src, dst = stack.pop()
         children = dst._children
         if src.text:
-            list.append(children, src.text)
+            children.append(src.text)
         for child in src:
             converted = make(child)
-            converted._parents.append(ref(dst))
-            list.append(children, converted)
+            children.append(converted)
             stack.append((child, converted))
             if child.tail:
-                list.append(children, child.tail)
+                children.append(child.tail)
     return out_root

@@ -8,13 +8,14 @@ lives in :mod:`repro.xmllib.c14n`.
 
 The writer is iterative (an explicit op stack), so ~1000-deep documents
 serialize without hitting the interpreter recursion limit, and it reuses
-serialized fragments for repeated envelope skeletons: subtrees at depth
-1-2 under the serialized root (SOAP headers, the Body payload) are cached
-by ``(content_key, namespace-allocation token)``.  The token is the
-whole-document first-use URI tuple, which fully determines the prefix
-map, so a cached fragment is only ever replayed under the identical
-prefix allocation; fragments below the root never contain ``xmlns``
-declarations.  Output is byte-identical to the uncached writer.
+serialized fragments for repeated envelope skeletons: in a sealed tree,
+subtrees at depth 1-2 under the serialized root (SOAP headers, the Body
+payload) are cached by ``(content_key, namespace-allocation token)``.
+The token is the whole-document first-use URI tuple, which fully
+determines the prefix map, so a cached fragment is only ever replayed
+under the identical prefix allocation; fragments below the root never
+contain ``xmlns`` declarations.  Output is byte-identical to the uncached
+writer.
 """
 
 from __future__ import annotations
@@ -54,30 +55,24 @@ _NS = "ns"
 
 
 def _ns_tuple(root: XmlElement) -> tuple[str, ...]:
-    """First-use document-order URI tuple, memoized per element.
+    """First-use document-order URI tuple of a sealed tree, memoized per node.
 
     Computed bottom-up: a node's tuple is the first-use dedup of its own
     tag/attribute URIs followed by its children's tuples, which equals the
-    preorder walk's result.  Memo entries live in the element's version
-    -keyed memo dict, so any mutation below a node drops its tuple.
+    preorder walk's result.  Every node of a sealed tree is sealed and has a
+    memo, so the tuple is stored there beside the content key.
     """
-    memo = root._memo
-    if memo is not None:
-        cached = memo.get(_NS)
-        if cached is not None:
-            return cached
+    cached = root._memo.get(_NS)
+    if cached is not None:
+        return cached
     stack = [root]
     while stack:
         el = stack[-1]
         memo = el._memo
-        if memo is not None and _NS in memo:
+        if _NS in memo:
             stack.pop()
             continue
-        pending = [
-            c
-            for c in el._children
-            if isinstance(c, XmlElement) and (c._memo is None or _NS not in c._memo)
-        ]
+        pending = [c for c in el._children if isinstance(c, XmlElement) and _NS not in c._memo]
         if pending:
             stack.extend(pending)
             continue
@@ -91,10 +86,7 @@ def _ns_tuple(root: XmlElement) -> tuple[str, ...]:
             if isinstance(c, XmlElement):
                 for uri in c._memo[_NS]:
                     seen.setdefault(uri, None)
-        uris = tuple(seen)
-        if el._memo is None:
-            el._memo = {}
-        el._memo[_NS] = uris
+        memo[_NS] = tuple(seen)
         stack.pop()
     return root._memo[_NS]
 
@@ -118,7 +110,7 @@ def _collect_plain(root: XmlElement) -> list[str]:
 
 def collect_namespaces(root: XmlElement) -> list[str]:
     """Namespace URIs used anywhere in the tree, in first-use document order."""
-    if memo_enabled():
+    if root._memo is not None and memo_enabled():
         return list(_ns_tuple(root))
     return _collect_plain(root)
 
@@ -157,13 +149,12 @@ _FRAGMENT_MAX_DEPTH = 2
 def serialize(root: XmlElement, *, xml_declaration: bool = False) -> str:
     """Serialize to compact XML with all namespaces declared on the root.
 
-    Fragment reuse is opportunistic: it engages only when the root's
-    content key is already memoized (the SOAP message path computes it
-    before serializing — see ``WireMessage.from_envelope``), so one-shot
-    trees like xmldb documents pay no caching overhead at all.
+    Fragment reuse is opportunistic: it engages only when the root is
+    sealed (the SOAP message path seals every envelope it sends — see
+    ``WireMessage.from_envelope``), so one-shot trees like xmldb documents
+    pay no caching overhead at all.
     """
-    memo = root._memo
-    warm = memo is not None and _CK in memo and memo_enabled()
+    warm = root._memo is not None and memo_enabled()
     if warm:
         uris = _ns_tuple(root)
     else:
@@ -207,19 +198,15 @@ def _write(
             continue
         el = payload
         if warm and _FRAGMENT_MIN_DEPTH <= depth <= _FRAGMENT_MAX_DEPTH:
-            # Only subtrees with a memoized content key participate (a
-            # mutated-since-keying subtree has none — it is written plainly).
-            memo = el._memo
-            key = memo.get(_CK) if memo is not None else None
-            if key is not None:
-                fragment = _FRAGMENTS.get((key, token))
-                if fragment is not None:
-                    append(fragment)
-                    continue
-                # Everything parts gains from here until this entry pops is
-                # the element's complete markup; _STORE reuses `depth` as
-                # the starting index into parts.
-                stack.append((_STORE, el, len(parts)))
+            # Every node of a sealed tree is sealed and keyed.
+            fragment = _FRAGMENTS.get((el._memo[_CK], token))
+            if fragment is not None:
+                append(fragment)
+                continue
+            # Everything parts gains from here until this entry pops is the
+            # element's complete markup; _STORE reuses `depth` as the
+            # starting index into parts.
+            stack.append((_STORE, el, len(parts)))
         tag = _qname_str(el.tag, prefixes)
         append(f"<{tag}")
         if depth == 0:

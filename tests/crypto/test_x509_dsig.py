@@ -115,17 +115,19 @@ class TestXmlDsig:
         cert, keypair = identity
         body = self.body()
         signature = sign_element(body, keypair, cert)
-        body.find("{urn:app}Value").children = ["42"]
+        tampered = body.copy()  # signing sealed the body itself
+        tampered.find("{urn:app}Value").children = ["42"]
         with pytest.raises(DsigError, match="digest mismatch"):
-            verify_element(body, signature, cert.public_key)
+            verify_element(tampered, signature, cert.public_key)
 
     def test_tampered_attribute_rejected(self, identity):
         cert, keypair = identity
         body = self.body()
         signature = sign_element(body, keypair, cert)
-        body.set("id", "r2")
+        tampered = body.copy()
+        tampered.set("id", "r2")
         with pytest.raises(DsigError):
-            verify_element(body, signature, cert.public_key)
+            verify_element(tampered, signature, cert.public_key)
 
     def test_swapped_signature_rejected(self, identity, ca):
         cert, keypair = identity

@@ -82,8 +82,9 @@ class TestTwoMessageSoak:
         assert get_cache("dsig.sign").stats.misses == 1
         sign_element(body, keypair, cert)
         assert get_cache("dsig.sign").stats.hits == 1
-        body.append("mutated")
-        sign_element(body, keypair, cert)
+        mutated = body.copy()  # signing sealed the body itself
+        mutated.append("mutated")
+        sign_element(mutated, keypair, cert)
         assert get_cache("dsig.sign").stats.misses == 2
 
     def test_digest_target_text_is_not_cached(self):

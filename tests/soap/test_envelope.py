@@ -29,14 +29,17 @@ class TestEnvelope:
         with pytest.raises(SoapFault, match="empty"):
             envelope.body_child()
 
-    def test_header_created_on_demand(self):
+    def test_missing_header_read_leaves_tree_unchanged(self):
         envelope = parse_envelope(
             f'<e:Envelope xmlns:e="{ns.SOAP}"><e:Body><x/></e:Body></e:Envelope>'
         )
+        before = serialize(envelope.root)
         header = envelope.header
         assert header.tag.local == "Header"
-        # inserted before the body
-        assert envelope.root.element_children().__next__().tag.local == "Header"
+        assert list(header.element_children()) == []
+        assert envelope.header_element("{urn:x}Anything") is None
+        assert serialize(envelope.root) == before
+        assert [child.tag.local for child in envelope.root.element_children()] == ["Body"]
 
 
 class TestFaults:

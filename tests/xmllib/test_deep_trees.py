@@ -66,13 +66,19 @@ class TestDeepWalkers:
         assert not deep.structurally_equal(other)
 
     def test_mutating_the_leaf_invalidates_the_whole_chain(self, deep):
-        before = content_key(deep)
-        leaf = deep
+        before = content_key(deep)  # seals the chain: edit a copy of it
+        twin = deep.copy()
+        leaf = twin
         while leaf.children and isinstance(leaf.children[0], XmlElement):
             leaf = leaf.children[0]
         leaf.append("x")
-        assert content_key(deep) != before
-        leaf.children.pop()
+        assert content_key(twin) != before
+        assert content_key(deep) == before
+        sealed_leaf = deep
+        while sealed_leaf.children and isinstance(sealed_leaf.children[0], XmlElement):
+            sealed_leaf = sealed_leaf.children[0]
+        with pytest.raises(TypeError, match="sealed"):
+            sealed_leaf.append("x")
 
     def test_span_walk(self):
         recorder = SpanRecorder()
