@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.addressing.epr import EndpointReference
 from repro.xmllib import QName, element, ns, text_of
@@ -15,12 +14,12 @@ _MESSAGE_ID = QName(ns.WSA, "MessageID")
 _REPLY_TO = QName(ns.WSA, "ReplyTo")
 _RELATES_TO = QName(ns.WSA, "RelatesTo")
 
-_id_counter = itertools.count(1)
 
-
-def next_message_id() -> str:
-    """Deterministic message ids (no wall clock, no real randomness)."""
-    return f"urn:uuid:repro-{next(_id_counter):08d}"
+def next_message_id(network) -> str:
+    """The next message id sent on ``network``: deterministic (no wall
+    clock, no real randomness) and fixed-width, so byte counts never
+    depend on how many messages went before."""
+    return f"urn:uuid:repro-{next(network.message_ids):08d}"
 
 
 @dataclass
@@ -29,7 +28,7 @@ class MessageHeaders:
 
     to: str
     action: str
-    message_id: str = field(default_factory=next_message_id)
+    message_id: str
     reply_to: EndpointReference | None = None
     relates_to: str | None = None
     #: Reference properties of the target EPR, echoed as headers.
@@ -76,16 +75,14 @@ class MessageHeaders:
                 extras[child.tag] = child.text().strip()
         if not to or not action:
             raise ValueError("message lacks required wsa:To / wsa:Action headers")
-        headers = cls(
+        return cls(
             to=to,
             action=action,
+            message_id=message_id,
             reply_to=reply_to,
             relates_to=relates_to,
             reference_properties=tuple(sorted(extras.items(), key=lambda kv: kv[0].sort_key())),
         )
-        if message_id:
-            headers.message_id = message_id
-        return headers
 
     def target_epr(self) -> EndpointReference:
         """Reconstruct the EPR this message was addressed to."""

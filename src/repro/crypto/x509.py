@@ -24,7 +24,8 @@ class CertificateError(ValueError):
 # Successful issuer-signature checks, keyed by the (frozen, hashable)
 # certificate and issuer key.  Only the time-independent signature check is
 # cached; the validity window is evaluated on every call because ``at_time``
-# moves with the virtual clock.  Failures are never cached.
+# moves with the virtual clock.  Failures are never cached.  A deployment
+# holds a handful of certificates, so the capacity never binds.
 _CHECKED = ContentCache("x509.check", capacity=1024)
 
 

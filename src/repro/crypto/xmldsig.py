@@ -37,10 +37,11 @@ _DIGEST_ALG = ns.DSIG_SHA1
 # entry.  Signing seals its target and its result in both caching modes,
 # and the signature cache returns its sealed ``ds:Signature`` itself: no
 # caller can mutate it.  Verification caches successes only; failures
-# always re-raise through the full path.
-_DIGESTS = ContentCache("dsig.digest", capacity=8192)
-_SIGNATURES = ContentCache("dsig.sign", capacity=2048)
-_VERIFIED = ContentCache("dsig.verify", capacity=8192)
+# always re-raise through the full path.  Each capacity is twice the
+# traced LRU knee, rounded up to a power of two (DESIGN.md §16).
+_DIGESTS = ContentCache("dsig.digest", capacity=16)
+_SIGNATURES = ContentCache("dsig.sign", capacity=512)
+_VERIFIED = ContentCache("dsig.verify", capacity=512)
 
 
 def _digest(target: XmlElement) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.addressing.headers import MessageHeaders
+from repro.addressing.headers import MessageHeaders, next_message_id
 from repro.crypto.xmldsig import DsigError, signer_subject, verify_element
 from repro.pipeline.chain import BaseFilter
 from repro.pipeline.context import CLIENT, NOTIFY, SERVER
@@ -121,12 +121,13 @@ class AddressingFilter(BaseFilter):
             ctx.headers = MessageHeaders(
                 to=ctx.epr.address,
                 action=ctx.action,
+                message_id=next_message_id(ctx.network),
                 reply_to=ctx.reply_to,
                 reference_properties=ctx.epr.reference_properties,
             )
             ctx.request_envelope = build_envelope(ctx.headers.to_elements(), [ctx.body])
         elif ctx.role == SERVER:
-            ctx.reply_headers = self._reply_headers(ctx.headers)
+            ctx.reply_headers = self._reply_headers(ctx.headers, ctx.network)
             if ctx.fault is not None:
                 ctx.response_envelope = build_fault_envelope(ctx.reply_headers, ctx.fault)
             else:
@@ -144,12 +145,13 @@ class AddressingFilter(BaseFilter):
             ctx.response_body = children[0] if children else None
 
     @staticmethod
-    def _reply_headers(request_headers: MessageHeaders | None) -> list[XmlElement]:
+    def _reply_headers(request_headers: MessageHeaders | None, network) -> list[XmlElement]:
         if request_headers is None:
             return []
         reply = MessageHeaders(
             to="soap://anonymous",
             action=request_headers.action + "Response",
+            message_id=next_message_id(network),
             relates_to=request_headers.message_id,
         )
         return reply.to_elements()

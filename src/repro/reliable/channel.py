@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.addressing.epr import EndpointReference
 from repro.reliable.deadletter import DeadLetterLog
 from repro.reliable.policy import RetryPolicy
-from repro.reliable.sequence import OutboundSequence
+from repro.reliable.sequence import OutboundSequence, next_sequence_id
 from repro.sim.faults import DeliveryFault
 from repro.xmllib.element import XmlElement
 
@@ -87,7 +87,7 @@ class ReliableChannel:
     def sequence_for(self, destination: str) -> OutboundSequence:
         seq = self._sequences.get(destination)
         if seq is None:
-            seq = OutboundSequence(destination)
+            seq = OutboundSequence(destination, next_sequence_id(self.network))
             self._sequences[destination] = seq
         return seq
 

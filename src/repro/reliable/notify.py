@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.reliable.deadletter import DeadLetterLog
 from repro.reliable.policy import RetryPolicy
-from repro.reliable.sequence import OutboundSequence, sequence_header
+from repro.reliable.sequence import OutboundSequence, next_sequence_id, sequence_header
 from repro.sim.faults import DeliveryFault
 from repro.soap.envelope import build_envelope
 from repro.xmllib.element import XmlElement, seal
@@ -49,7 +49,7 @@ class ReliableNotifier:
     def sequence_for(self, destination: str) -> OutboundSequence:
         seq = self._sequences.get(destination)
         if seq is None:
-            seq = OutboundSequence(destination)
+            seq = OutboundSequence(destination, next_sequence_id(self.deployment.network))
             self._sequences[destination] = seq
         return seq
 

@@ -23,8 +23,6 @@ reruns.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.soap.envelope import Envelope
 from repro.xmllib import QName, element, ns, text_of
 from repro.xmllib.element import XmlElement
@@ -35,12 +33,10 @@ MESSAGE_NUMBER_HEADER = QName(ns.WSRM, "MessageNumber")
 
 _SEQUENCE = QName(ns.WSRM, "Sequence")
 
-_sequence_counter = itertools.count(1)
 
-
-def next_sequence_id() -> str:
-    """Deterministic, fixed-width sequence identifiers."""
-    return f"urn:repro:seq-{next(_sequence_counter):08d}"
+def next_sequence_id(network) -> str:
+    """The next deterministic, fixed-width sequence identifier on ``network``."""
+    return f"urn:repro:seq-{next(network.sequence_ids):08d}"
 
 
 def sequence_header(identifier: str, number: int) -> XmlElement:
@@ -78,9 +74,9 @@ def read_sequence_header(envelope: Envelope) -> tuple[str, int] | None:
 class OutboundSequence:
     """Sender-side state: hands out message numbers, tracks outcomes."""
 
-    def __init__(self, destination: str, identifier: str | None = None) -> None:
+    def __init__(self, destination: str, identifier: str) -> None:
         self.destination = destination
-        self.identifier = identifier if identifier is not None else next_sequence_id()
+        self.identifier = identifier
         self._next = 1
         #: Message numbers acknowledged as delivered.
         self.acked: set[int] = set()

@@ -353,7 +353,13 @@ class Kernel:
             except BaseException as exc:
                 self._finish(task, None, exc)
                 return
-            self._dispatch(task, effect)
+            try:
+                self._dispatch(task, effect)
+            except Exception as exc:
+                # A refused effect (a nested stage, a release without an
+                # acquire) is the task's error, thrown in at this instant
+                # like a negative Delay's: the task still ends.
+                self._resume_later(self.clock.now, task, thrown=exc)
         finally:
             self._restore_tracer(swapped)
             self.current = previous_task

@@ -26,6 +26,7 @@ then raises :class:`~repro.sim.faults.MessageLost` /
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 from contextlib import nullcontext
@@ -79,6 +80,11 @@ class Network:
         #: None keeps every hook free.
         self.sanitizer: SimSanitizer | None = None
         self._connections: dict[tuple[str, str, TransportKind], _ConnectionState] = {}
+        #: Id sources for what is sent on this network (``wsa:MessageID``s
+        #: and WS-RM sequence identifiers), so the same program and seed
+        #: send the same bytes whatever ran before in the process.
+        self.message_ids = itertools.count(1)
+        self.sequence_ids = itertools.count(1)
         #: The discrete-event kernel owning this network's timeline
         #: (DESIGN.md §14): every request runs through its eager driver,
         #: load generators spawn tasks on it, and timers sit on its heap.

@@ -39,7 +39,9 @@ from repro.xmllib.serialize import collect_namespaces
 
 _sort_key = attrgetter("_key")
 
-_C14N = ContentCache("c14n.text", capacity=8192)
+# SignedInfo text is read once, by the verifier of the same message; the
+# capacity covers the messages signed in between (DESIGN.md §16).
+_C14N = ContentCache("c14n.text", capacity=16)
 
 
 def canonicalize(root: XmlElement) -> str:

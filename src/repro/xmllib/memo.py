@@ -8,10 +8,11 @@ module owns the machinery every cache in ``repro.xmllib`` and
 * :class:`CacheStats` — observable hit/miss counters, one per cache,
   reachable through :func:`cache_stats` so benchmarks and tier-1 tests
   can assert cache behavior instead of guessing at it;
-* :class:`ContentCache` — a bounded insertion-ordered dict keyed by
+* :class:`ContentCache` — a bounded least-recently-used dict keyed by
   *content* (structural keys from
   :func:`repro.xmllib.element.content_key`), so a freshly re-parsed tree
-  that is byte-identical to one seen before still hits;
+  that is byte-identical to one seen before still hits, and an entry
+  nothing reads again is evicted instead of staying resident;
 * :func:`caching_disabled` — the uncached-baseline switch the
   ``msgperf`` benchmark uses to measure honest speedups.
 
@@ -81,17 +82,19 @@ class CacheStats:
 
 
 class ContentCache:
-    """A bounded content-keyed cache with observable statistics.
+    """A bounded, least-recently-used, content-keyed cache with
+    observable statistics.
 
-    Keys must be hashable and fully determine the value.  When the cache
-    fills, the oldest half of the entries is dropped (dict insertion
-    order) — cheap, and a soak's working set is re-established within a
-    handful of messages.
+    Keys must be hashable and fully determine the value.  The dict's
+    insertion order is its recency order, least recently used first: a
+    hit moves its entry to the end, and an insert into a full cache
+    evicts the first entry.  Each owner sizes ``capacity`` from traced
+    reuse (DESIGN.md §16), so what stays resident is what gets read again.
     """
 
     __slots__ = ("_data", "capacity", "stats")
 
-    def __init__(self, name: str, capacity: int = 4096) -> None:
+    def __init__(self, name: str, capacity: int) -> None:
         if capacity < 2:
             raise ValueError(f"cache capacity must be >= 2: {capacity}")
         self._data: dict = {}
@@ -100,19 +103,23 @@ class ContentCache:
         _CACHES[name] = self
 
     def get(self, key):
-        """The cached value, counting a hit or a miss."""
-        value = self._data.get(key, _MISSING)
+        """The cached value, counting a hit or a miss; a hit makes the
+        entry the most recently used."""
+        data = self._data
+        value = data.pop(key, _MISSING)
         if value is _MISSING:
             self.stats.misses += 1
             return None
+        data[key] = value
         self.stats.hits += 1
         return value
 
     def put(self, key, value) -> None:
+        """Store ``value`` as the most recently used entry, evicting the
+        least recently used one if a new key finds the cache full."""
         data = self._data
-        if len(data) >= self.capacity:
-            for old in list(data)[: self.capacity // 2]:
-                del data[old]
+        if data.pop(key, _MISSING) is _MISSING and len(data) >= self.capacity:
+            del data[next(iter(data))]
         data[key] = value
 
     def clear(self) -> None:

@@ -134,7 +134,8 @@ def allocate_prefixes(uris: list[str]) -> dict[str, str]:
     return out
 
 
-_FRAGMENTS = ContentCache("serialize.fragment", capacity=8192)
+# Twice the traced LRU knee, rounded up to a power of two (DESIGN.md §16).
+_FRAGMENTS = ContentCache("serialize.fragment", capacity=2048)
 
 # Op codes for the iterative writer's explicit stack.
 _OPEN, _TEXT, _END, _STORE = 0, 1, 2, 3

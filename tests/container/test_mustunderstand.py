@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.addressing import MessageHeaders
+from repro.addressing.headers import MessageHeaders, next_message_id
 from repro.soap import WireMessage
 from repro.soap.envelope import build_envelope
 from repro.xmllib import element, ns
@@ -11,7 +11,10 @@ from tests.container.test_container import ECHO_ACTION, make_deployment
 
 
 def send_with_header(deployment, service, extra_header):
-    headers = MessageHeaders(to=service.address, action=ECHO_ACTION)
+    headers = MessageHeaders(
+        to=service.address, action=ECHO_ACTION,
+        message_id=next_message_id(deployment.network),
+    )
     envelope = build_envelope(
         headers.to_elements() + [extra_header], [element("{urn:test}Echo", "x")]
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.addressing import MessageHeaders
+from repro.addressing.headers import MessageHeaders, next_message_id
 from repro.container import (
     Deployment,
     SecurityMode,
@@ -165,7 +165,10 @@ class TestReliableMessagingFilter:
 
 class TestMustUnderstandFilter:
     def _server_ctx(self, deployment, container, extra_headers):
-        headers = MessageHeaders(to="soap://x/y", action=ECHO_ACTION)
+        headers = MessageHeaders(
+            to="soap://x/y", action=ECHO_ACTION,
+            message_id=next_message_id(deployment.network),
+        )
         envelope = build_envelope(
             headers.to_elements() + extra_headers, [element("{urn:test}Echo")]
         )
@@ -200,7 +203,10 @@ class TestMustUnderstandFilter:
         # X.509 deployment: the MustUnderstand fault must win (SOAP 1.1
         # processing order), not the missing-signature fault.
         deployment, service, _ = make_deployment(SecurityMode.X509)
-        headers = MessageHeaders(to=service.address, action=ECHO_ACTION)
+        headers = MessageHeaders(
+            to=service.address, action=ECHO_ACTION,
+            message_id=next_message_id(deployment.network),
+        )
         mandatory = element(
             "{urn:exotic}Tx", "t", attrs={f"{{{ns.SOAP}}}mustUnderstand": "1"}
         )
@@ -232,7 +238,10 @@ class TestUnsignableContainerFaults:
 
     def test_server_emits_fault_instead_of_unsigned_reply(self):
         deployment, service, client = self._deployment_with_unsignable_container()
-        headers = MessageHeaders(to=service.address, action=ECHO_ACTION)
+        headers = MessageHeaders(
+            to=service.address, action=ECHO_ACTION,
+            message_id=next_message_id(deployment.network),
+        )
         envelope = build_envelope(headers.to_elements(), [element("{urn:test}Echo", "x")])
         client.security.secure_outgoing(envelope, client.credentials)
         _, container = deployment.resolve(service.address)

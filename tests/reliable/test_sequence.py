@@ -8,6 +8,8 @@ from repro.reliable import (
     read_sequence_header,
     sequence_header,
 )
+from repro.reliable.sequence import next_sequence_id
+from repro.sim import Network
 from repro.soap.envelope import build_envelope
 from repro.xmllib import element
 
@@ -20,17 +22,19 @@ def _stamped(identifier: str, number: int):
 
 class TestOutbound:
     def test_numbers_are_sequential_from_one(self):
-        seq = OutboundSequence("soap://x/svc")
+        seq = OutboundSequence("soap://x/svc", "urn:repro:seq-00000001")
         assert [seq.next_number() for _ in range(3)] == [1, 2, 3]
         assert seq.assigned == 3
 
     def test_identifiers_are_unique_and_fixed_width(self):
-        a, b = OutboundSequence("d"), OutboundSequence("d")
-        assert a.identifier != b.identifier
-        assert len(a.identifier) == len(b.identifier)
+        network = Network()
+        a, b = next_sequence_id(network), next_sequence_id(network)
+        assert a != b
+        assert len(a) == len(b)
+        assert next_sequence_id(Network()) == a
 
     def test_outstanding_tracks_unsettled_numbers(self):
-        seq = OutboundSequence("d")
+        seq = OutboundSequence("d", "urn:repro:seq-00000001")
         for _ in range(3):
             seq.next_number()
         seq.ack(1)

@@ -279,9 +279,10 @@ class TestWorkerPools:
             yield Release("h")
 
         spawned = kernel.spawn(task())
-        with pytest.raises(SimError, match="release without acquire"):
-            kernel.run()
-        assert spawned.done is False
+        kernel.run()
+        assert spawned.done
+        assert isinstance(spawned.error, SimError)
+        assert "release without acquire" in str(spawned.error)
 
     def test_task_queueing_delay_accumulates(self):
         kernel = fresh_kernel()
@@ -342,6 +343,32 @@ class TestKernelTimers:
         assert (fired, kernel.clock.now) == ([], 10.0)
         kernel.run(until=60.0)
         assert fired == [50.0]
+
+    def test_timer_request_during_live_stages_loses_no_task(self):
+        # A timer's request charges 10 ms while two tasks are live.  The
+        # stages that fall due inside that charge cannot nest in it: each
+        # such task ends with the SimError instead of being dropped, the
+        # request completes, and run() leaves nothing live.
+        kernel = fresh_kernel()
+        completed = []
+
+        def task():
+            for _ in range(3):
+                yield Work(lambda: kernel.clock.charge(2.0))
+
+        def request():
+            yield Work(lambda: kernel.clock.charge(10.0))
+            return "sent"
+
+        kernel.call_at(1.0, lambda: completed.append(kernel.run_sync(request())))
+        tasks = [kernel.spawn(task(), "a"), kernel.spawn(task(), "b")]
+        kernel.run()
+        assert completed == ["sent"]
+        assert all(spawned.done for spawned in tasks)
+        for spawned in tasks:
+            assert isinstance(spawned.error, SimError)
+            assert "cannot nest" in str(spawned.error)
+        assert kernel._live == 0
 
 
 class TestRunSync:

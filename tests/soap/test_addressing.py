@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.addressing import EndpointReference, MessageHeaders
+from repro.addressing.headers import next_message_id
+from repro.sim import Network
 from repro.xmllib import QName, element, ns, parse_xml, serialize
 
 
@@ -66,6 +68,7 @@ class TestMessageHeaders:
         headers = MessageHeaders(
             to="soap://h/S",
             action="urn:op",
+            message_id="urn:uuid:repro-00000007",
             reply_to=EndpointReference.create("soap://c/sink"),
             relates_to="urn:uuid:1",
             reference_properties=((QName("urn:x", "ResourceID"), "r9"),),
@@ -81,14 +84,15 @@ class TestMessageHeaders:
 
     def test_reference_properties_become_headers(self):
         headers = MessageHeaders(
-            to="a", action="b", reference_properties=((QName("urn:x", "K"), "v"),)
+            to="a", action="b", message_id="urn:uuid:m",
+            reference_properties=((QName("urn:x", "K"), "v"),),
         )
         tags = [e.tag for e in headers.to_elements()]
         assert QName("urn:x", "K") in tags
 
     def test_target_epr_reconstruction(self):
         headers = MessageHeaders(
-            to="soap://h/S", action="x",
+            to="soap://h/S", action="x", message_id="urn:uuid:m",
             reference_properties=((QName("urn:x", "ResourceID"), "42"),),
         )
         epr = headers.target_epr()
@@ -111,6 +115,17 @@ class TestMessageHeaders:
         assert headers.reference_properties == ()
 
     def test_message_ids_unique(self):
-        a = MessageHeaders(to="t", action="a")
-        b = MessageHeaders(to="t", action="a")
-        assert a.message_id != b.message_id
+        # Ids are unique per network, and every network starts at the same
+        # id: what ran earlier in the process cannot change a run's bytes.
+        network = Network()
+        a, b = next_message_id(network), next_message_id(network)
+        assert a != b and len(a) == len(b)
+        assert next_message_id(Network()) == a
+
+    def test_parsing_draws_no_id(self):
+        header_el = element(
+            f"{{{ns.SOAP}}}Header",
+            element(f"{{{ns.WSA}}}To", "a"),
+            element(f"{{{ns.WSA}}}Action", "b"),
+        )
+        assert MessageHeaders.from_header_element(header_el).message_id == ""

@@ -141,3 +141,32 @@ class TestSpecVocabulary:
                 if child.tag.local == "ResourceID":
                     found = True
         assert found
+
+
+class TestSameSeedSameBytes:
+    def test_rig_built_twice_sends_identical_text(self, monkeypatch):
+        # Message and sequence ids come from the rig's own network, so a
+        # second rig in the same process sends the very same wire text.
+        from repro.soap.message import WireMessage
+
+        sent = []
+        original = WireMessage.from_envelope.__func__
+
+        def recording(cls, envelope):
+            message = original(cls, envelope)
+            sent.append(message.text)
+            return message
+
+        monkeypatch.setattr(WireMessage, "from_envelope", classmethod(recording))
+
+        def run():
+            start = len(sent)
+            client = build_wsrf_rig(CounterScenario(SecurityMode.X509, colocated=False)).client
+            counter = client.create(3)
+            client.set(counter, 5)
+            assert client.get(counter) == 5
+            return sent[start:]
+
+        first, second = run(), run()
+        assert len(first) == 6
+        assert first == second

@@ -65,10 +65,13 @@ class TestWireTampering:
         """Bit-flip a signed request on the wire: the container must refuse
         it and answer with a security fault, not process it."""
         deployment, service, client = make_echo(SecurityMode.X509)
-        from repro.addressing import MessageHeaders
+        from repro.addressing.headers import MessageHeaders, next_message_id
         from repro.soap.envelope import build_envelope
 
-        headers = MessageHeaders(to=service.address, action=ECHO_ACTION)
+        headers = MessageHeaders(
+            to=service.address, action=ECHO_ACTION,
+            message_id=next_message_id(deployment.network),
+        )
         envelope = build_envelope(headers.to_elements(), [element("{urn:test}Echo", "legit")])
         client.security.secure_outgoing(envelope, client.credentials)
         wire = WireMessage.from_envelope(envelope)
@@ -80,10 +83,13 @@ class TestWireTampering:
 
     def test_stripped_signature_rejected(self):
         deployment, service, client = make_echo(SecurityMode.X509)
-        from repro.addressing import MessageHeaders
+        from repro.addressing.headers import MessageHeaders, next_message_id
         from repro.soap.envelope import build_envelope
 
-        headers = MessageHeaders(to=service.address, action=ECHO_ACTION)
+        headers = MessageHeaders(
+            to=service.address, action=ECHO_ACTION,
+            message_id=next_message_id(deployment.network),
+        )
         envelope = build_envelope(headers.to_elements(), [element("{urn:test}Echo", "x")])
         # never signed at all
         wire = WireMessage.from_envelope(envelope)
