@@ -2,16 +2,20 @@
 
 The dual-stack comparison only works because both stacks run on the same
 virtual timeline with the same seeded RNG: a run is a pure function of
-(program, mode, seed).  Reading the wall clock, pulling unseeded
-randomness, hashing object identities, or iterating a set where order
-leaks into output all smuggle host entropy into results — and once the
-concurrent kernel interleaves requests, that entropy becomes schedule
+(program, mode, seed).  Reading the wall clock, sleeping on it, pulling
+unseeded randomness, hashing object identities, or iterating a set where
+order leaks into output all smuggle host entropy into results — and once
+the concurrent kernel interleaves requests, that entropy becomes schedule
 nondeterminism the conformance harness cannot distinguish from a real
 stack divergence.
 
-Sources detected:
+Sources detected (calls resolve through the file's imports, so
+``from time import sleep as nap`` makes ``nap(...)`` a ``time.sleep``):
 
 * ``time.time``/``time.time_ns``/``time.monotonic``/``time.perf_counter``
+* ``time.sleep``/``asyncio.sleep`` — a wall-clock wait stalls the
+  simulation for real seconds while the charged-time ledger misses it;
+  backoff and retransmission wait virtually via ``Network.charge``
 * ``datetime.now``/``datetime.utcnow``/``datetime.today``
 * module-level ``random.*`` (unseeded process RNG; a seeded
   ``random.Random(seed)`` instance is fine and is what ``Clock.rng`` is)
@@ -38,6 +42,7 @@ from repro.analysis.project import ProjectContext
 
 _TIME_ATTRS = frozenset({"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns"})
 _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
+_SLEEP_MODULES = frozenset({"time", "asyncio"})
 
 #: Terminal qualname fragments that mark a cost-ledger / comparator sink.
 _SINK_MARKERS = (
@@ -56,7 +61,7 @@ def _exempt(path: str) -> bool:
 class DeterminismChecker:
     rule_id = "RPO10"
     description = (
-        "no wall-clock reads, unseeded randomness, id()-keyed or "
+        "no wall-clock reads or sleeps, unseeded randomness, id()-keyed or "
         "set-iteration-ordered data on paths feeding the cost ledger or "
         "comparators"
     )
@@ -65,8 +70,6 @@ class DeterminismChecker:
         if _exempt(module.path):
             return
         project = module.project
-        if not isinstance(project, ProjectContext):
-            project = ProjectContext.single(module)
         sinks = _sink_functions(project)
         for node, reason in _entropy_sites(module):
             symbol, severity = _classify(project, module, node, sinks)
@@ -98,7 +101,7 @@ def _classify(
     sinks: frozenset[str],
 ) -> tuple[str, str]:
     """(symbol, severity) for an entropy site."""
-    info = _enclosing(project, module, node)
+    info = project.enclosing_function(module, node)
     if info is None:
         return "<module>", "warning"
     on_ledger_path = bool(sinks) and project.reaches(info.qualname, sinks)
@@ -129,39 +132,11 @@ def _entropy_sites(module: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
 
 
 def _call_entropy(call: ast.Call, module: ModuleContext) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        base, attr = func.value.id, func.attr
-        if base == "time" and attr in _TIME_ATTRS:
-            return f"wall-clock read time.{attr}() is host entropy; use the virtual Clock"
-        if base == "datetime" and attr in _DATETIME_ATTRS:
-            return f"datetime.{attr}() reads the host clock; use the virtual Clock"
-        if base == "random":
-            if attr == "Random" and (call.args or call.keywords):
-                return None  # random.Random(seed) — explicitly seeded, fine
-            if attr == "Random":
-                return (
-                    "random.Random() with no seed draws from process entropy; "
-                    "seed it from the run's (program, mode, seed) tuple"
-                )
-            if attr == "SystemRandom":
-                return "random.SystemRandom() is OS entropy and never reproducible"
-            return (
-                f"module-level random.{attr}() uses the unseeded process RNG; "
-                "use the run's seeded Clock.rng"
-            )
-        if base == "os" and attr == "urandom":
-            return "os.urandom() is irreproducible entropy; derive bytes from the seeded RNG"
-        if base == "uuid" and attr == "uuid4":
-            return "uuid.uuid4() is random per process; derive ids from the seeded RNG"
-    if isinstance(func, ast.Name):
-        bound = module.imports.get(func.id)
-        if bound is not None:
-            source, original = bound
-            if source == "os" and original == "urandom":
-                return "os.urandom() is irreproducible entropy; derive bytes from the seeded RNG"
-            if source == "uuid" and original == "uuid4":
-                return "uuid.uuid4() is random per process; derive ids from the seeded RNG"
+    target = _call_target(call, module)
+    if target is not None:
+        reason = _entropy_source(call, *target)
+        if reason is not None:
+            return reason
     # sorted(xs, key=id) — ordering by object address.
     for keyword in call.keywords:
         if (
@@ -170,6 +145,50 @@ def _call_entropy(call: ast.Call, module: ModuleContext) -> str | None:
             and keyword.value.id == "id"
         ):
             return "sorting by id() orders objects by memory address"
+    return None
+
+
+def _call_target(call: ast.Call, module: ModuleContext) -> tuple[str, str] | None:
+    """(module, attribute) a call resolves to through the file's imports:
+    ``time.sleep(...)`` and, after ``from time import sleep as nap``,
+    ``nap(...)`` both give ``("time", "sleep")``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        base = func.value.id
+        return module.plain_imports.get(base, base), func.attr
+    if isinstance(func, ast.Name):
+        return module.imports.get(func.id)
+    return None
+
+
+def _entropy_source(call: ast.Call, source: str, attr: str) -> str | None:
+    if source == "time" and attr in _TIME_ATTRS:
+        return f"wall-clock read time.{attr}() is host entropy; use the virtual Clock"
+    if source in _SLEEP_MODULES and attr == "sleep":
+        return (
+            f"wall-clock sleep {source}.sleep() stalls the simulation and escapes "
+            "the charged-time ledger; wait virtually via clock.charge / Network.charge"
+        )
+    if source == "datetime" and attr in _DATETIME_ATTRS:
+        return f"datetime.{attr}() reads the host clock; use the virtual Clock"
+    if source == "random":
+        if attr == "Random" and (call.args or call.keywords):
+            return None  # random.Random(seed) — explicitly seeded, fine
+        if attr == "Random":
+            return (
+                "random.Random() with no seed draws from process entropy; "
+                "seed it from the run's (program, mode, seed) tuple"
+            )
+        if attr == "SystemRandom":
+            return "random.SystemRandom() is OS entropy and never reproducible"
+        return (
+            f"module-level random.{attr}() uses the unseeded process RNG; "
+            "use the run's seeded Clock.rng"
+        )
+    if (source, attr) == ("os", "urandom"):
+        return "os.urandom() is irreproducible entropy; derive bytes from the seeded RNG"
+    if (source, attr) == ("uuid", "uuid4"):
+        return "uuid.uuid4() is random per process; derive ids from the seeded RNG"
     return None
 
 
@@ -189,23 +208,3 @@ def _is_bare_set(node: ast.expr) -> bool:
         and isinstance(node.func, ast.Name)
         and node.func.id == "set"
     )
-
-
-def _enclosing(project: ProjectContext, module: ModuleContext, target: ast.AST):
-    def find(node: ast.AST, current):
-        if node is target:
-            return current
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info = project.function_at(module, node)
-            current = info if info is not None else current
-        for child in ast.iter_child_nodes(node):
-            found = find(child, current)
-            if found is not _MISS:
-                return found
-        return _MISS
-
-    result = find(module.tree, None)
-    return None if result is _MISS else result
-
-
-_MISS = object()

@@ -11,11 +11,14 @@ mediated substrate (``Network`` messages, ``Clock`` timers,
 
 Two finding shapes:
 
-w1. a module-level mutable (``{}``/``[]``/``set()``/constructor call)
-    mutated from code that runs after import time — handlers or anything
-    transitively callable from a function.  Import-time-only mutation
-    (decorator registries populated while the module loads) is exempt:
-    it is finished before any host exists.
+w1. module-level state changed from code that runs after import time —
+    handlers or anything transitively callable from a function:
+    a module-level mutable (``{}``/``[]``/``set()``/constructor call)
+    mutated in place, a module-level iterator (``itertools.count()``,
+    any call or generator) advanced by ``next()``, or any module-level
+    name rebound through a ``global`` statement.  Import-time-only
+    mutation (decorator registries populated while the module loads) is
+    exempt: it is finished before any host exists.
 w2. a class-level mutable default (``class C: items = []``) — every
     instance on every host aliases one list.
 
@@ -32,7 +35,7 @@ from typing import Iterator
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import register
-from repro.analysis.project import MODULE_SCOPE, ProjectContext
+from repro.analysis.project import FunctionInfo, ProjectContext
 
 #: Constructor names whose call produces a fresh mutable container.
 _MUTABLE_CALLS = frozenset(
@@ -58,16 +61,16 @@ def _exempt(path: str) -> bool:
 class HostIsolationChecker:
     rule_id = "RPO09"
     description = (
-        "no module-level mutables, class-level mutable defaults, or "
-        "singletons shared across simulated hosts outside "
-        "Network/Clock/ResourceHome mediation"
+        "no module-level mutables, iterators or global rebinding, "
+        "class-level mutable defaults, or singletons shared across "
+        "simulated hosts outside Network/Clock/ResourceHome mediation"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if _exempt(module.path):
             return
         yield from self._class_defaults(module)
-        yield from self._module_mutables(module)
+        yield from self._module_state(module)
 
     # -- w2: class-level mutable defaults ------------------------------------
 
@@ -100,42 +103,39 @@ class HostIsolationChecker:
                         severity="warning",
                     )
 
-    # -- w1: module-level mutables mutated at runtime ------------------------
+    # -- w1: module-level state changed at runtime ---------------------------
 
-    def _module_mutables(self, module: ModuleContext) -> Iterator[Finding]:
+    def _module_state(self, module: ModuleContext) -> Iterator[Finding]:
         project = module.project
-        if not isinstance(project, ProjectContext):
-            project = ProjectContext.single(module)
-        mutables = _module_level_mutables(module)
-        if not mutables:
-            return
+        mutables, iterators = _module_level_state(module)
         reported: set[str] = set()
         for node in ast.walk(module.tree):
-            name = _mutated_name(node, mutables)
-            if name is None or name in reported:
-                continue
-            info = _enclosing_function(project, module, node)
-            if info is None:
-                # Mutation at module scope is part of building the table at
-                # import time — by definition single-threaded and pre-host.
-                continue
-            if not _runs_after_import(project, info.qualname):
-                continue
-            reported.add(name)
-            yield Finding(
-                rule=self.rule_id,
-                path=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                symbol=info.symbol,
-                message=(
-                    f"module-level mutable '{name}' is mutated at runtime and "
-                    "shared by every simulated host; move it behind "
-                    "Network/Clock/ResourceHome mediation or scope it "
-                    "per-host"
-                ),
-                severity="warning",
-            )
+            for name, change in _shared_writes(node, mutables, iterators):
+                if name in reported:
+                    continue
+                info = project.enclosing_function(module, node)
+                if info is None:
+                    # Mutation at module scope is part of building the table
+                    # at import time — by definition single-threaded and
+                    # pre-host.
+                    continue
+                if not _runs_after_import(project, info):
+                    continue
+                reported.add(name)
+                yield Finding(
+                    rule=self.rule_id,
+                    path=module.path,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    symbol=info.symbol,
+                    message=(
+                        f"module-level {change} at runtime and "
+                        "shared by every simulated host; move it behind "
+                        "Network/Clock/ResourceHome mediation or scope it "
+                        "per-host"
+                    ),
+                    severity="warning",
+                )
 
 
 def _is_dataclass(klass: ast.ClassDef) -> bool:
@@ -174,8 +174,11 @@ def _is_mutable_value(value: ast.expr) -> bool:
     return False
 
 
-def _module_level_mutables(module: ModuleContext) -> set[str]:
-    names: set[str] = set()
+def _module_level_state(module: ModuleContext) -> tuple[set[str], set[str]]:
+    """(mutables, iterators): module-level names bound to a mutable
+    container, and to a call or generator that ``next()`` can advance."""
+    mutables: set[str] = set()
+    iterators: set[str] = set()
     for statement in module.tree.body:
         if isinstance(statement, ast.Assign):
             targets = [t for t in statement.targets if isinstance(t, ast.Name)]
@@ -185,13 +188,22 @@ def _module_level_mutables(module: ModuleContext) -> set[str]:
             value = statement.value
         else:
             continue
+        names = {t.id for t in targets}
         if value is not None and _is_mutable_value(value):
-            names.update(t.id for t in targets)
-    return names
+            mutables.update(names)
+        if isinstance(value, (ast.Call, ast.GeneratorExp)):
+            iterators.update(names)
+    return mutables, iterators
 
 
-def _mutated_name(node: ast.AST, mutables: set[str]) -> str | None:
-    """The module-level name ``node`` mutates, if any."""
+def _shared_writes(
+    node: ast.AST, mutables: set[str], iterators: set[str]
+) -> Iterator[tuple[str, str]]:
+    """(name, how it changes) for each piece of module state ``node`` changes."""
+    if isinstance(node, ast.Global):
+        for name in node.names:
+            yield name, f"name '{name}' is rebound through `global`"
+        return
     if isinstance(node, ast.Call):
         func = node.func
         if (
@@ -200,61 +212,41 @@ def _mutated_name(node: ast.AST, mutables: set[str]) -> str | None:
             and isinstance(func.value, ast.Name)
             and func.value.id in mutables
         ):
-            return func.value.id
-    elif isinstance(node, (ast.Assign, ast.AugAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)
-                and target.value.id in mutables
-            ):
-                return target.value.id
-    elif isinstance(node, ast.Delete):
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)
-                and target.value.id in mutables
-            ):
-                return target.value.id
-    return None
+            yield func.value.id, f"mutable '{func.value.id}' is mutated"
+        elif (
+            isinstance(func, ast.Name)
+            and func.id == "next"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id in iterators
+        ):
+            yield node.args[0].id, f"iterator '{node.args[0].id}' is advanced by next()"
+        return
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, ast.AugAssign):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        if (
+            isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Name)
+            and target.value.id in mutables
+        ):
+            yield target.value.id, f"mutable '{target.value.id}' is mutated"
+            return
 
 
-def _enclosing_function(project: ProjectContext, module: ModuleContext, target: ast.AST):
-    """FunctionInfo of the innermost def containing ``target``, else None."""
-
-    def find(node: ast.AST, current):
-        if node is target:
-            return current
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info = project.function_at(module, node)
-            current = info if info is not None else current
-        for child in ast.iter_child_nodes(node):
-            found = find(child, current)
-            if found is not _MISS:
-                return found
-        return _MISS
-
-    result = find(module.tree, None)
-    return None if result is _MISS else result
-
-
-_MISS = object()
-
-
-def _runs_after_import(project: ProjectContext, qualname: str) -> bool:
+def _runs_after_import(project: ProjectContext, info: FunctionInfo) -> bool:
     """True unless every path to this function starts at module scope.
 
     A function no one calls is assumed to be runtime API surface; one
     only reachable from ``<module>`` scopes (decorator registries) runs
     while the interpreter holds the import lock and is safe.
     """
-    callers = project.callers_closure(qualname)
-    if not callers:
-        return True
-    if project.functions.get(qualname) is not None and project.functions[qualname].is_handler:
-        return True
-    return any(caller in project.functions for caller in callers) or not all(
-        caller.endswith(f".{MODULE_SCOPE}") for caller in callers
+    return (
+        info.is_handler
+        or not project.callers_closure(info.qualname)
+        or project.runtime_reachable(info.qualname)
     )

@@ -1,9 +1,8 @@
 """Per-file analysis context: one parse, shared derived views.
 
 Every checker receives a :class:`ModuleContext`; the expensive or commonly
-needed views (import bindings, ``actions`` class bodies, module-level
-names, ``@web_method`` handlers) are computed once per file here rather
-than once per checker.
+needed views (import bindings, ``actions`` class bodies, ``@web_method``
+handlers) are computed once per file here rather than once per checker.
 """
 
 from __future__ import annotations
@@ -85,8 +84,6 @@ class ModuleContext:
     plain_imports: dict[str, str] = field(default_factory=dict)
     #: class name → attribute names, for classes named ``actions``/``*_actions``
     action_classes: dict[str, set[str]] = field(default_factory=dict)
-    #: names assigned at module level (mutation targets for RPO06)
-    module_level_names: set[str] = field(default_factory=set)
     web_methods: list[WebMethod] = field(default_factory=list)
     #: Set by the engine after all files are parsed; single-file analyses
     #: get a project of one module, so interprocedural checkers degrade
@@ -133,9 +130,6 @@ class ModuleContext:
                     ):
                         attrs.add(statement.target.id)
                 self.action_classes[node.name] = attrs
-        for statement in self.tree.body:
-            for target in _assignment_targets(statement):
-                self.module_level_names.add(target)
         self._collect_web_methods(self.tree, owner=None)
 
     def _collect_web_methods(self, scope: ast.AST, owner: ast.ClassDef | None) -> None:
@@ -168,21 +162,6 @@ class ModuleContext:
         if 1 <= line <= len(self.source_lines):
             return self.source_lines[line - 1]
         return ""
-
-
-def _assignment_targets(statement: ast.stmt) -> Iterator[str]:
-    if isinstance(statement, ast.Assign):
-        for target in statement.targets:
-            if isinstance(target, ast.Name):
-                yield target.id
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    if isinstance(element, ast.Name):
-                        yield element.id
-    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)) and isinstance(
-        statement.target, ast.Name
-    ):
-        yield statement.target.id
 
 
 def _module_name_for(path: str) -> str:

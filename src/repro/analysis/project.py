@@ -1,11 +1,10 @@
 """Project-wide analysis: the symbol table and call graph.
 
-The single-module passes (RPO01–RPO08) see one file at a time; the
-concurrency-readiness rules (RPO09–RPO13) need to answer *inter*procedural
-questions — "is this mutation reachable from a message handler?", "does
-this call launder a ``clock.charge`` through a wrapper?".  A
-:class:`ProjectContext` is built once per analysis run over every parsed
-module and answers those questions for all checkers.
+Most rules see one file at a time; RPO05, RPO09 and RPO10 need to answer
+*inter*procedural questions — "is this mutation reachable from a message
+handler?", "does this call launder a ``clock.charge`` through a
+wrapper?".  A :class:`ProjectContext` is built once per analysis run over
+every parsed module and answers those questions for all checkers.
 
 Call resolution is deliberately conservative-but-useful:
 
@@ -18,6 +17,10 @@ Call resolution is deliberately conservative-but-useful:
 * ``mod.f(...)`` resolves through plain ``import repro.x as mod``
   bindings and through ``from repro import x``-style module bindings;
 * ``obj.m(...)`` on anything else uses the same by-name fallback.
+
+The by-name fallback only ever targets methods (defs in a class body):
+an attribute call cannot reach a module-level function, so
+``Cert().check(...)`` never links to a module-level ``check()``.
 
 Nested functions get their own node plus an implicit edge from the
 enclosing function (a closure the parent defines is assumed callable by
@@ -292,10 +295,10 @@ class ProjectContext:
         return set()
 
     def _fallback(self, attr: str) -> set[str]:
-        """Dynamic dispatch by name: every known def with this name."""
+        """Dynamic dispatch by name: every known method with this name."""
         if attr in _GENERIC_ATTRS:
             return set()
-        return set(self.by_name.get(attr, ()))
+        return {q for q in self.by_name.get(attr, ()) if self.functions[q].owner is not None}
 
     def _edge(self, caller: str, callee: str) -> None:
         self.calls.setdefault(caller, set()).add(callee)
@@ -309,6 +312,18 @@ class ProjectContext:
     def function_at(self, module: ModuleContext, node: ast.AST) -> FunctionInfo | None:
         """The FunctionInfo whose def node is ``node``, if tracked."""
         return self._by_node.get((module.path, id(node)))
+
+    def enclosing_function(self, module: ModuleContext, target: ast.AST) -> FunctionInfo | None:
+        """The innermost tracked def containing ``target``; None at module scope."""
+        stack: list[tuple[ast.AST, FunctionInfo | None]] = [(module.tree, None)]
+        while stack:
+            node, current = stack.pop()
+            if node is target:
+                return current
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                current = self.function_at(module, node) or current
+            stack.extend((child, current) for child in ast.iter_child_nodes(node))
+        return None
 
     def handlers(self) -> Iterator[FunctionInfo]:
         for info in self.functions.values():

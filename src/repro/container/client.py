@@ -35,11 +35,6 @@ class SoapClient:
     def network(self):
         return self.deployment.network
 
-    @property
-    def security(self):
-        """The deployment-wide security handler (one per deployment)."""
-        return self.deployment.security_filter.handler
-
     def invoke(
         self,
         epr: EndpointReference,

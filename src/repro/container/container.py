@@ -46,11 +46,6 @@ class Container:
         self.services: dict[str, ServiceSkeleton] = {}
 
     @property
-    def security(self):
-        """The deployment-wide security handler (one per deployment)."""
-        return self.deployment.security_filter.handler
-
-    @property
     def request_log(self):
         """WS-RM destination-side reply cache (lives in the chain)."""
         return self.chain.find(ReliableMessagingFilter).log

@@ -62,7 +62,7 @@ class Deployment:
         self.ca = ca
         self.trust: dict[str, Certificate] = {}
         #: The one security filter every chain shares (clients, containers
-        #: and notification delivery sign/verify with the same handler).
+        #: and notification delivery sign/verify with the same filter).
         self.security_filter = SecurityFilter(self.policy, self.network, ca, self.trust)
         #: Chain driving producer→consumer notification delivery.
         self.notification_chain = self.pipeline()
@@ -81,8 +81,9 @@ class Deployment:
         """A fresh filter chain for this deployment's policy.
 
         Apps, containers and benchmarks construct chains here instead of
-        wiring handlers by hand; the security filter is shared so the
-        whole deployment signs and verifies with one handler.
+        wiring filters by hand; the security filter is shared so the
+        whole deployment signs and verifies with one policy, CA and
+        trust directory.
         """
         return FilterChain.standard(self.security_filter)
 

@@ -7,10 +7,11 @@ request handling and notification delivery are thin drivers over one
 :class:`FilterChain` whose filters each own a single cross-cutting
 concern.  Chains are built per deployment via ``Deployment.pipeline()``.
 
-Layering rule (lint-enforced as RPO08): ``SecurityHandler`` and
-``InboundRequestLog`` are implementation details of
-:class:`SecurityFilter` / :class:`ReliableMessagingFilter`; code outside
-this package composes filters instead of reaching for the handlers.
+The filters own their machinery outright: :class:`SecurityFilter` signs
+and verifies itself, and the WS-RM reply cache
+(:class:`~repro.pipeline.filters.InboundRequestLog`) exists only inside
+:class:`ReliableMessagingFilter`, so code outside this package has no
+handler to reach for and composes filters instead.
 """
 
 from repro.pipeline.chain import BaseFilter, FilterChain, MessageFilter

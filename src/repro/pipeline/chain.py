@@ -64,7 +64,7 @@ class FilterChain:
 
         The security filter is injected — one per deployment, shared by
         every chain — so client, container and notification paths sign and
-        verify with the same handler state (policy, CA, trust directory).
+        verify with the same policy, CA and trust directory.
         """
         from repro.pipeline.filters import (
             AddressingFilter,

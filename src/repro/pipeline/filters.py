@@ -16,21 +16,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.addressing.headers import MessageHeaders, next_message_id
-from repro.crypto.xmldsig import DsigError, signer_subject, verify_element
+from repro.crypto.x509 import Certificate, CertificateAuthority, CertificateError, DistinguishedName
+from repro.crypto.xmldsig import DsigError, sign_element, signer_subject, verify_element
 from repro.pipeline.chain import BaseFilter
 from repro.pipeline.context import CLIENT, NOTIFY, SERVER
-from repro.reliable.sequence import (
-    MESSAGE_NUMBER_HEADER,
-    SEQUENCE_ID_HEADER,
-    InboundRequestLog,
-)
-from repro.soap.envelope import SoapFault, build_envelope, build_fault_envelope
+from repro.reliable.sequence import MESSAGE_NUMBER_HEADER, SEQUENCE_ID_HEADER
+from repro.soap.envelope import Envelope, SoapFault, build_envelope, build_fault_envelope
 from repro.soap.message import WireMessage
-from repro.xmllib import QName, ns
+from repro.xmllib import QName, XmlParseError, element, ns
 from repro.xmllib.element import XmlElement
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.container.security import Credentials, SecurityPolicy
     from repro.pipeline.context import PipelineContext
+    from repro.sim.network import Network
+
+_SECURITY_HEADER = QName(ns.WSSE, "Security")
+_SIGNATURE = QName(ns.DS, "Signature")
 
 
 class TracingFilter(BaseFilter):
@@ -58,14 +60,41 @@ class TracingFilter(BaseFilter):
         ctx.defer(lambda: tracer.close(span, ctx.clock.now))
 
 
+class InboundRequestLog:
+    """Server-side exactly-once cache for the invocation path.
+
+    Keyed by ``(sequence identifier, message number)``; stores the signed
+    reply bytes so a retransmitted request is answered from cache without
+    re-executing the service (WS-RM's destination-side contract).
+    """
+
+    def __init__(self) -> None:
+        self._replies: dict[tuple[str, int], object] = {}
+        #: Retransmissions answered from cache.
+        self.duplicates = 0
+
+    def replay(self, key: tuple[str, int]):
+        """The cached reply for ``key``, or ``None`` on first sight."""
+        reply = self._replies.get(key)
+        if reply is not None:
+            self.duplicates += 1
+        return reply
+
+    def store(self, key: tuple[str, int], reply) -> None:
+        self._replies[key] = reply
+
+    def __len__(self) -> int:
+        return len(self._replies)
+
+
 class ReliableMessagingFilter(BaseFilter):
     """WS-RM on both ends: EPR stamping out, replay/reply-cache in.
 
     Absorbs what used to live in two places: the
     :class:`~repro.reliable.channel.ReliableChannel`'s header stamping
     (the channel now only assigns sequence numbers and retries) and the
-    container's ``InboundRequestLog`` branch (owned here, one log per
-    chain — i.e. per container).
+    container's reply cache (an :class:`InboundRequestLog` owned here,
+    one log per chain — i.e. per container).
     """
 
     def __init__(self) -> None:
@@ -136,7 +165,10 @@ class AddressingFilter(BaseFilter):
 
     def inbound(self, ctx: "PipelineContext") -> None:
         if ctx.role == SERVER:
-            ctx.headers = MessageHeaders.from_header_element(ctx.request_envelope.header)
+            try:
+                ctx.headers = MessageHeaders.from_header_element(ctx.request_envelope.header)
+            except ValueError as exc:
+                raise SoapFault("Client", f"malformed request: {exc}") from exc
         elif ctx.role == CLIENT:
             response = ctx.response_envelope
             if response.is_fault():
@@ -158,20 +190,27 @@ class AddressingFilter(BaseFilter):
 
 
 class SecurityFilter(BaseFilter):
-    """The Security/Policy handler as a filter: sign out, verify in.
+    """Figure 1's Security/Policy handler as a filter: sign out, verify in.
 
     One instance per deployment (built in ``Deployment.__init__``,
-    injected into every chain), which is what deduplicates the
-    per-client/per-container handler construction the monolithic code
-    carried.  The wrapped :class:`SecurityHandler` stays an
-    implementation detail of this filter — repro-lint rule RPO08 keeps
-    direct handler use from leaking back out of ``repro.pipeline``.
+    injected into every chain), so client, container and notification
+    paths sign and verify with the same policy, CA and trust directory.
+    ``trust`` maps DN strings to certificates (the VO's certificate
+    directory); the CA root key validates each certificate before its
+    public key is trusted.
     """
 
-    def __init__(self, policy, network, ca=None, trust=None) -> None:
-        from repro.container.security import SecurityHandler
-
-        self.handler = SecurityHandler(policy, network, ca, trust)
+    def __init__(
+        self,
+        policy: "SecurityPolicy",
+        network: "Network",
+        ca: CertificateAuthority | None = None,
+        trust: dict[str, Certificate] | None = None,
+    ) -> None:
+        self.policy = policy
+        self.network = network
+        self.ca = ca
+        self.trust = trust if trust is not None else {}
 
     def outbound(self, ctx: "PipelineContext") -> None:
         if ctx.role == CLIENT:
@@ -193,13 +232,13 @@ class SecurityFilter(BaseFilter):
         if ctx.role == SERVER:
             if ctx.policy.signing:
                 with ctx.span("security.verify"):
-                    ctx.sender = self.handler.verify_incoming(ctx.request_envelope)
+                    ctx.sender = self.verify_incoming(ctx.request_envelope)
         elif ctx.role == CLIENT:
             if not ctx.policy.signing:
                 return
             try:
                 with ctx.span("security.verify"):
-                    self.handler.verify_incoming(ctx.response_envelope)
+                    self.verify_incoming(ctx.response_envelope)
             except SecurityError as exc:
                 if ctx.response_envelope.is_fault():
                     # An unsigned fault means the *server* already failed
@@ -221,7 +260,7 @@ class SecurityFilter(BaseFilter):
         if not ctx.policy.signing:
             return
         with ctx.span("security.sign"):
-            self.handler.secure_outgoing(envelope, ctx.credentials)
+            self.secure_outgoing(envelope, ctx.credentials)
 
     def _sign_response(self, ctx: "PipelineContext") -> None:
         from repro.container.security import SecurityError
@@ -230,7 +269,7 @@ class SecurityFilter(BaseFilter):
             return
         try:
             with ctx.span("security.sign"):
-                self.handler.secure_outgoing(ctx.response_envelope, ctx.credentials)
+                self.secure_outgoing(ctx.response_envelope, ctx.credentials)
         except SecurityError as exc:
             # A misconfigured (credential-less) container cannot sign.  It
             # used to reply unsigned and let the client's policy reject
@@ -241,23 +280,89 @@ class SecurityFilter(BaseFilter):
                 ctx.reply_headers if ctx.reply_headers is not None else [], ctx.fault
             )
 
+    # -- signing and verification ------------------------------------------------
+
+    def secure_outgoing(self, envelope: Envelope, credentials: "Credentials | None") -> None:
+        """Attach a wsse:Security/ds:Signature header over the Body."""
+        from repro.container.security import SecurityError
+
+        if not self.policy.signing:
+            return
+        if credentials is None:
+            raise SecurityError("X.509 policy requires credentials to sign")
+        body = envelope.body
+        costs = self.network.costs
+        kb = self._approx_kb(body)
+        self.network.charge(costs.c14n_digest_per_kb * kb + costs.rsa_sign, "security.sign")
+        signature = sign_element(body, credentials.keypair, credentials.certificate)
+        envelope.header.append(element(_SECURITY_HEADER, signature))
+        self.network.metrics.signed()
+
+    def verify_incoming(self, envelope: Envelope) -> DistinguishedName | None:
+        """Verify the signature (if policy requires) and return the sender DN."""
+        from repro.container.security import SecurityError
+
+        if not self.policy.signing:
+            return None
+        security = envelope.header_element(_SECURITY_HEADER)
+        signature = security.find(_SIGNATURE) if security is not None else None
+        if signature is None:
+            raise SecurityError("policy requires a signed message; none present")
+        subject = signer_subject(signature)
+        certificate = self.trust.get(subject)
+        if certificate is None:
+            raise SecurityError(f"unknown signer: {subject}")
+        if self.ca is not None:
+            try:
+                certificate.check(self.ca.keypair.public, at_time=self.network.clock.now)
+            except CertificateError as exc:
+                raise SecurityError(str(exc)) from exc
+        costs = self.network.costs
+        kb = self._approx_kb(envelope.body)
+        self.network.charge(
+            costs.c14n_digest_per_kb * kb + costs.rsa_verify + costs.security_policy_check,
+            "security.verify",
+        )
+        try:
+            verify_element(envelope.body, signature, certificate.public_key)
+        except DsigError as exc:
+            raise SecurityError(f"signature invalid: {exc}") from exc
+        self.network.metrics.verified()
+        return certificate.subject
+
+    @staticmethod
+    def _approx_kb(node: XmlElement) -> float:
+        # Cheap size proxy for cost scaling: count of text + tags. The exact
+        # wire size is charged by the transport; this only scales crypto cost.
+        total = 0
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            total += 16 + len(current.tag.local)
+            for child in current.children:
+                if isinstance(child, str):
+                    total += len(child)
+                else:
+                    stack.append(child)
+        return total / 1024.0
+
     # -- notification verification ---------------------------------------------
 
     def _verify_notification(self, ctx: "PipelineContext") -> None:
         """The consumer-side check: signature present, signer trusted.
 
-        Cheaper than the request path's full ``verify_incoming`` (no
+        Cheaper than the request path's full :meth:`verify_incoming` (no
         policy check, no canonicalization charge) and it raises
         :class:`DsigError` rather than ``SecurityError`` — notification
         delivery has no fault channel to map errors onto.
         """
         envelope = ctx.request_envelope
-        security = envelope.header_element(QName(ns.WSSE, "Security"))
-        signature = security.find(QName(ns.DS, "Signature")) if security is not None else None
+        security = envelope.header_element(_SECURITY_HEADER)
+        signature = security.find(_SIGNATURE) if security is not None else None
         if signature is None:
             raise DsigError("signed deployment received unsigned notification")
         subject = signer_subject(signature)
-        certificate = self.handler.trust.get(subject)
+        certificate = self.trust.get(subject)
         if certificate is None:
             raise DsigError(f"notification signed by unknown party {subject}")
         ctx.network.charge(ctx.costs.rsa_verify, "security.verify")
@@ -334,9 +439,12 @@ class CostAccountingFilter(BaseFilter):
                 + costs.xml_parse_per_kb * ctx.request_message.n_kb,
                 "server.receive",
             )
-            # Parse failures propagate raw (no fault envelope): a message
-            # that isn't XML never reached the SOAP layer.
-            ctx.request_envelope = ctx.request_message.parse()
+            # Text that is not XML was still received and paid for; the
+            # sender gets a Client fault, never a raw parser exception.
+            try:
+                ctx.request_envelope = ctx.request_message.parse()
+            except XmlParseError as exc:
+                raise SoapFault("Client", f"malformed request: {exc}") from exc
         elif ctx.role == CLIENT:
             ctx.network.charge(
                 costs.soap_per_message

@@ -25,7 +25,6 @@ from repro.reliable.sequence import (
     MESSAGE_NUMBER_HEADER,
     SEQUENCE_ID_HEADER,
     InboundDeduper,
-    InboundRequestLog,
     InboundSequence,
     OutboundSequence,
     read_sequence_header,
@@ -43,7 +42,6 @@ __all__ = [
     "OutboundSequence",
     "InboundSequence",
     "InboundDeduper",
-    "InboundRequestLog",
     "SEQUENCE_ID_HEADER",
     "MESSAGE_NUMBER_HEADER",
     "sequence_header",

@@ -18,7 +18,7 @@ which receives the stamp via ``invoke(..., rm_stamp=...)``.  The
 synchronous request/response exchange
 doubles as the acknowledgement (a reply *is* the ack); lost replies
 cause a retransmission that the server answers from its
-:class:`~repro.reliable.sequence.InboundRequestLog` without
+:class:`~repro.pipeline.filters.InboundRequestLog` without
 re-executing the service, preserving exactly-once semantics.
 """
 

@@ -1,7 +1,8 @@
 """Retransmission policy: attempts, exponential backoff, jitter, budget.
 
 All backoff time is *virtual* — charged through ``Network.charge`` under
-the ``reliable.backoff`` category, never slept (repro-lint rule RPO07).
+the ``reliable.backoff`` category, never slept (repro-lint rule RPO10
+flags wall-clock sleeps).
 Jitter draws come from the caller-supplied RNG (the sim clock's seeded
 stream), keeping retransmission schedules reproducible.
 """

@@ -175,30 +175,3 @@ class InboundDeduper:
     @property
     def buffered(self) -> int:
         return sum(seq.buffered for seq in self._sequences.values())
-
-
-class InboundRequestLog:
-    """Server-side exactly-once cache for the invocation path.
-
-    Keyed by ``(sequence identifier, message number)``; stores the signed
-    reply bytes so a retransmitted request is answered from cache without
-    re-executing the service (WS-RM's destination-side contract).
-    """
-
-    def __init__(self) -> None:
-        self._replies: dict[tuple[str, int], object] = {}
-        #: Retransmissions answered from cache.
-        self.duplicates = 0
-
-    def replay(self, key: tuple[str, int]):
-        """The cached reply for ``key``, or ``None`` on first sight."""
-        reply = self._replies.get(key)
-        if reply is not None:
-            self.duplicates += 1
-        return reply
-
-    def store(self, key: tuple[str, int], reply) -> None:
-        self._replies[key] = reply
-
-    def __len__(self) -> int:
-        return len(self._replies)

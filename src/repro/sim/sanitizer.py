@@ -1,11 +1,12 @@
 """TSan-style sanitizer for simulated shared state.
 
-The static rules (RPO09–RPO13) prove isolation *shapes*; this module
-checks the actual runs.  When attached to a :class:`~repro.sim.network
-.Network`, every store mutation (Collection insert/update/upsert/delete,
-and everything layered on it — WriteThroughCache, ResourceHome) is tagged
-with the execution context that performed it: the simulated host and a
-message id, pushed by the container for each request it handles.
+The static rules (RPO09, RPO10, RPO12, RPO13) prove isolation *shapes*;
+this module checks the actual runs.  When attached to a
+:class:`~repro.sim.network.Network`, every store mutation (Collection
+insert/update/upsert/delete, and everything layered on it —
+WriteThroughCache, ResourceHome) is tagged with the execution context
+that performed it: the simulated host and a message id, pushed by the
+container for each request it handles.
 
 The invariant checked is the message-passing discipline itself: **two
 different hosts may only touch the same (store, key) if a message

@@ -1,4 +1,4 @@
-"""Fixture: a handler mutating module-level state (RPO06)."""
+"""Fixture: a handler mutating module-level state (RPO06's; now RPO09)."""
 
 from repro.container.service import MessageContext, ServiceSkeleton, web_method
 

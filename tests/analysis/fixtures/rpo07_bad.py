@@ -1,4 +1,4 @@
-"""Fixture: wall-clock waits in retransmission code (RPO07)."""
+"""Fixture: wall-clock waits in retransmission code (RPO07's; now RPO10)."""
 
 import time
 from time import sleep as nap

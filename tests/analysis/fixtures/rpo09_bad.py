@@ -27,3 +27,14 @@ class SubscriptionBook:
 
     def __init__(self):
         self.local = []  # per-instance state is fine
+
+
+# One id source for every host: each next() advances the shared iterator.
+import itertools  # noqa: E402
+
+_IDS = itertools.count(1)
+FIRST_ID = next(_IDS)  # import time — must NOT be flagged
+
+
+def next_message_id():
+    return f"urn:made-up:msg-{next(_IDS):08d}"

@@ -1,8 +1,8 @@
-"""Fixture: clock.charge laundered through wrapper functions (RPO11)."""
+"""Fixture: clock.charge laundered through wrappers (RPO11's; now RPO05)."""
 
 
 def bump(clock, ms):
-    # The bare-name receiver hides the charge from RPO05's pattern.
+    # A bare-name receiver: every caller launders the charge through here.
     clock.charge(ms)
 
 

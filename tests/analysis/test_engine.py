@@ -21,8 +21,8 @@ REPO_ROOT = Path(__file__).parents[2]
 class TestRegistry:
     def test_builtin_rules_registered(self):
         assert list(all_checkers()) == [
-            "RPO01", "RPO02", "RPO03", "RPO04", "RPO05", "RPO06", "RPO07",
-            "RPO08", "RPO09", "RPO10", "RPO11", "RPO12", "RPO13", "RPO15",
+            "RPO01", "RPO02", "RPO03", "RPO04", "RPO05",
+            "RPO09", "RPO10", "RPO12", "RPO13", "RPO15",
         ]
 
     def test_get_checker(self):
@@ -258,7 +258,7 @@ class TestCli:
 
     def test_rule_filter(self, capsys):
         assert main([f"{FIXTURES}/rpo06_bad.py", "--no-baseline", "--rule", "RPO04"]) == 0
-        assert main([f"{FIXTURES}/rpo06_bad.py", "--no-baseline", "--rule", "RPO06"]) == 1
+        assert main([f"{FIXTURES}/rpo06_bad.py", "--no-baseline", "--rule", "RPO09"]) == 1
 
     def test_write_baseline_then_clean(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
@@ -268,7 +268,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--rules"]) == 0
         out = capsys.readouterr().out
-        assert "RPO01" in out and "RPO06" in out and "RPO13" in out
+        assert "RPO01" in out and "RPO09" in out and "RPO13" in out
 
     def test_format_json(self, capsys):
         main([FIXTURES, "--no-baseline", "--format", "json"])

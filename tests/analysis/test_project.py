@@ -66,6 +66,20 @@ class TestResolution:
         [site] = project.functions["alpha.drive"].call_sites
         assert site.dynamic
 
+    def test_by_name_fallback_targets_methods_only(self):
+        # An attribute call dispatches to methods; a module-level function
+        # that merely shares the name is not a callee.
+        project = _project(alpha=(
+            "class Cert:\n"
+            "    def check(self):\n"
+            "        return 1\n"
+            "def check():\n"
+            "    return 2\n"
+            "def verify(cert):\n"
+            "    return cert.check()\n"
+        ))
+        assert project.callees_closure("alpha.verify") == {"alpha.Cert.check"}
+
     def test_generic_attrs_produce_no_edges(self):
         project = _project(alpha=(
             "class Log:\n"

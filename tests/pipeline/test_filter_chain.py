@@ -69,9 +69,6 @@ class TestChainAssembly:
         assert client.chain is not container.chain
         assert client.chain.find(SecurityFilter) is deployment.security_filter
         assert container.chain.find(SecurityFilter) is deployment.security_filter
-        # The compat surface exposes one handler for the whole deployment.
-        assert client.security is container.security
-        assert client.security is deployment.security_filter.handler
 
     def test_reply_cache_is_per_container(self):
         deployment, service, _ = make_deployment()
@@ -243,7 +240,7 @@ class TestUnsignableContainerFaults:
             message_id=next_message_id(deployment.network),
         )
         envelope = build_envelope(headers.to_elements(), [element("{urn:test}Echo", "x")])
-        client.security.secure_outgoing(envelope, client.credentials)
+        deployment.security_filter.secure_outgoing(envelope, client.credentials)
         _, container = deployment.resolve(service.address)
         reply = container.handle(WireMessage.from_envelope(envelope)).parse()
         assert reply.is_fault()

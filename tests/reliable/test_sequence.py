@@ -1,8 +1,8 @@
 """Sequences: numbering, dedup, ordering, and the wire header."""
 
+from repro.pipeline.filters import InboundRequestLog
 from repro.reliable import (
     InboundDeduper,
-    InboundRequestLog,
     InboundSequence,
     OutboundSequence,
     read_sequence_header,

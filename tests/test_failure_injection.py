@@ -73,7 +73,7 @@ class TestWireTampering:
             message_id=next_message_id(deployment.network),
         )
         envelope = build_envelope(headers.to_elements(), [element("{urn:test}Echo", "legit")])
-        client.security.secure_outgoing(envelope, client.credentials)
+        deployment.security_filter.secure_outgoing(envelope, client.credentials)
         wire = WireMessage.from_envelope(envelope)
         tampered = WireMessage(wire.text.replace("legit", "evil!"))
         _, container = deployment.resolve(service.address)
