@@ -72,7 +72,7 @@ python -m repro experiments --smoke || status=1
 echo "== experiments regression gate =="
 # Re-measure experiment grids and compare against the committed records:
 # exact-gate specs must match bit-identically (ordering flips, invariant
-# violations and >tolerance drift all fail); the shape-gate spec (msgperf,
+# violations and any drift all fail); the shape-gate spec (msgperf,
 # wall-clock) must keep the record's numeric leaves and its invariants.
 # loadgen re-runs the kernel's concurrent schedule, datagrid the declared
 # services, trace_spans the Figure-1 span trees and xmldb_scaling the

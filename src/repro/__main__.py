@@ -3,7 +3,7 @@
 ``python -m repro experiments`` drives the declarative experiment engine
 (see :mod:`repro.experiments.cli`), the one way to regenerate, print and
 gate the paper's figures and every other declared sweep:
-``--list``/``--run``/``--resume`` manage the recorded grids,
+``--list``/``--run`` manage the recorded grids,
 ``--check``/``--smoke``/``--soak`` gate fresh runs against the committed
 records, and ``--docs``/``--check-docs`` regenerate EXPERIMENTS.md from
 them.  ``--run NAME --results DIR`` prints a figure without touching the

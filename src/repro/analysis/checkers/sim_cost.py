@@ -27,6 +27,7 @@ w4. a function that transitively calls a w3 function (project call
 from __future__ import annotations
 
 import ast
+from collections import deque
 from typing import Iterator
 
 from repro.analysis.context import ModuleContext, call_name
@@ -65,9 +66,15 @@ class SimCostChecker:
 
     def _message_work(self, module: ModuleContext) -> Iterator[Finding]:
         for func, symbol in _functions(module.tree):
-            calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
-            if any(call_name(c) in _CHARGE_NAMES for c in calls):
+            # A charge anywhere in the subtree counts, closures included;
+            # the work sites are the function's own, since a nested def is
+            # checked as its own function.
+            if any(
+                isinstance(n, ast.Call) and call_name(n) in _CHARGE_NAMES
+                for n in ast.walk(func)
+            ):
                 continue
+            calls = _own_calls(func)
 
             # w1 — WireMessage built but never charged/transmitted.
             wire = next((c for c in calls if _builds_wire_message(c)), None)
@@ -153,18 +160,25 @@ def _clock_chargers(project: ProjectContext) -> dict[str, tuple[FunctionInfo, li
     return cached
 
 
-def _own_clock_charges(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.Call]:
-    """``charge``/``advance`` calls on a clock in ``func``'s own body, in
-    source order (a nested def is its own FunctionInfo)."""
+def _own_calls(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.Call]:
+    """The calls in ``func``'s own body, breadth first as ``ast.walk``
+    yields them, skipping nested defs (each is its own function)."""
     calls = []
-    frontier: list[ast.AST] = list(ast.iter_child_nodes(func))
+    frontier = deque(ast.iter_child_nodes(func))
     while frontier:
-        node = frontier.pop()
+        node = frontier.popleft()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         frontier.extend(ast.iter_child_nodes(node))
-        if isinstance(node, ast.Call) and _is_clock_charge(node):
+        if isinstance(node, ast.Call):
             calls.append(node)
+    return calls
+
+
+def _own_clock_charges(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.Call]:
+    """``charge``/``advance`` calls on a clock in ``func``'s own body, in
+    source order."""
+    calls = [call for call in _own_calls(func) if _is_clock_charge(call)]
     return sorted(calls, key=lambda call: (call.lineno, call.col_offset))
 
 

@@ -1,13 +1,13 @@
 """Grid-in-a-Box typed storage accessors (the db layer).
 
-Each accessor owns one collection's document layout and its secondary
-indexes; routers and logic never touch a collection directly.  The two
-stacks keep their historical layouts — the WSRF stack's single
-``accounts`` document versus the WS-Transfer stack's document-per-DN, the
-``HostInfo`` registry versus the ``Site`` registry — because the layout
-is part of each stack's measured wire-and-database behaviour; what they
-share is the accessor vocabulary and the index-or-scan machinery from
-:class:`repro.apps.layers.db.Table`.
+Each accessor owns one collection's document layout; routers and logic
+never touch a collection directly.  The two stacks keep their historical
+layouts — the WSRF stack's single ``accounts`` document versus the
+WS-Transfer stack's document-per-DN, the ``HostInfo`` registry versus the
+``Site`` registry — because the layout is part of each stack's measured
+wire-and-database behaviour; what they share is the accessor vocabulary
+of :class:`repro.apps.layers.db.Table`.  Every query is a scan, as in the
+paper's Xindice deployment: no Grid-in-a-Box accessor declares an index.
 
 Layer discipline (lint rule RPO15): no ``repro.soap`` /
 ``repro.container`` / ``repro.pipeline`` imports here.
@@ -15,16 +15,11 @@ Layer discipline (lint rule RPO15): no ``repro.soap`` /
 
 from __future__ import annotations
 
-from repro.apps.giab.common import parse_host_info
-from repro.apps.layers.db import IndexSpec, Table
+from repro.apps.layers.db import Table
 from repro.apps.layers.logic import LogicError
 from repro.xmldb.collection import DocumentNotFound
 from repro.xmllib import element, ns, text_of
 from repro.xmllib.element import XmlElement
-from repro.xmllib.xpath import xpath_literal
-
-_GIAB_PREFIXES = {"g": ns.GIAB}
-_FIELDS_PREFIXES = {"f": ns.WSRF_FIELDS}
 
 # -- accounts -----------------------------------------------------------------
 
@@ -69,11 +64,7 @@ class TransferAccountsStore(Table):
 
 class HostRegistry(Table):
     """The WSRF stack's host registry: one ``HostInfo`` document per host,
-    keyed by host name, with opt-in application and host-name indexes."""
-
-    APPLICATION = IndexSpec("//g:Application", _GIAB_PREFIXES)
-    HOST = IndexSpec("//g:Host", _GIAB_PREFIXES)
-    indexes = (APPLICATION, HOST)
+    keyed by host name."""
 
     def register(self, host: str, document: XmlElement) -> None:
         self.store.upsert(host, document)
@@ -82,21 +73,9 @@ class HostRegistry(Table):
         """Remove a host; raises :class:`DocumentNotFound` when unknown."""
         self.store.delete(host)
 
-    def host_names(self) -> list[str]:
-        """All registered host names — a covering index read when indexed."""
-        values = self.covering_values(self.HOST)
-        if values is not None:
-            return values
-        return sorted(parse_host_info(doc)["host"] for _, doc in self.store.documents())
-
-    def with_application(self, application: str) -> list[tuple[str, XmlElement]]:
-        """Candidate (key, document) pairs for an Application predicate:
-        the index posting list when available, else every registered host.
-        Callers re-apply the full availability rule either way, so answers
-        are identical — only the candidate set shrinks."""
-        keys = self.match_keys(self.APPLICATION, application)
-        if keys is not None:
-            return [(key, self.store.read(key)) for key in keys]
+    def documents(self) -> list[tuple[str, XmlElement]]:
+        """Every registered (host, ``HostInfo``) pair: the availability
+        query scans them all and applies the availability rule itself."""
         return list(self.store.documents())
 
 
@@ -119,9 +98,6 @@ class SiteRegistry(Table):
     """The WS-Transfer stack's unified registry: one ``Site`` document per
     site carrying both the host facts and its reservation state."""
 
-    APPLICATION = IndexSpec("//g:Application", _GIAB_PREFIXES)
-    indexes = (APPLICATION,)
-
     def find(self, name: str) -> XmlElement | None:
         try:
             return self.store.read(name)
@@ -131,12 +107,8 @@ class SiteRegistry(Table):
     def save(self, name: str, site: XmlElement) -> None:
         self.store.update(name, site)
 
-    def with_application(self, application: str) -> list[tuple[str, XmlElement]]:
-        """Candidate (key, Site) pairs for an availability query — the same
-        index-or-scan contract as :meth:`HostRegistry.with_application`."""
-        keys = self.match_keys(self.APPLICATION, application)
-        if keys is not None:
-            return [(key, self.store.read(key)) for key in keys]
+    def documents(self) -> list[tuple[str, XmlElement]]:
+        """Every (name, Site) pair: the availability query scans them all."""
         return list(self.store.documents())
 
 
@@ -145,11 +117,8 @@ class SiteRegistry(Table):
 
 class ReservationsTable(Table):
     """The WSRF stack's reservations: one WS-Resource document per live
-    reservation (host + owner fields), with an opt-in reserved-host index.
-    Lifetime does the expiry, so every stored document is live."""
-
-    RESERVED_HOST = IndexSpec("//f:host", _FIELDS_PREFIXES)
-    indexes = (RESERVED_HOST,)
+    reservation (host + owner fields).  Lifetime does the expiry, so every
+    stored document is live."""
 
     def pairs(self) -> list[tuple[str, str]]:
         pairs = []
@@ -161,59 +130,8 @@ class ReservationsTable(Table):
         return pairs
 
     def reserved_hosts(self) -> set[str]:
-        values = self.covering_values(self.RESERVED_HOST)
-        if values is not None:
-            # Covering read: the host list is exactly the index's value set.
-            return set(values)
         return {host for host, _ in self.pairs()}
 
     def held_by(self, host: str, dn: str) -> bool:
-        keys = self.match_keys(self.RESERVED_HOST, host)
-        if keys is not None:
-            for key in keys:
-                doc = self.store.load(key)
-                if text_of(doc.find(f"{{{ns.WSRF_FIELDS}}}owner")) == dn:
-                    return True
-            return False
         return any(entry == (host, dn) for entry in self.pairs())
 
-
-# -- data directories (WSRF WS-Resources) --------------------------------------
-
-
-class DirectoriesTable(Table):
-    """The WSRF stack's directory resources: one WS-Resource document per
-    directory with its path in the ``directory`` field."""
-
-    DIRECTORY = IndexSpec("//f:directory", _FIELDS_PREFIXES)
-    indexes = (DIRECTORY,)
-
-    def directories(self) -> list[str]:
-        """All directory paths — a covering index read when indexed,
-        otherwise a load of each resource document."""
-        values = self.covering_values(self.DIRECTORY)
-        if values is not None:
-            return values
-        return sorted(
-            text_of(self.store.load(key).find(f"{{{ns.WSRF_FIELDS}}}directory"))
-            for key in self.store.keys()
-        )
-
-    def keys_for(self, path: str) -> list[str]:
-        """Resource keys whose directory field equals ``path`` (normally one).
-
-        Historical quirk, preserved because the charge is pinned by golden
-        ledgers: any path expressible as an XPath literal goes straight to
-        ``query_keys`` — charged as a query even with no index declared —
-        instead of checking ``find_index`` first like the other accessors.
-        """
-        literal = xpath_literal(path)
-        if literal is not None:
-            return self.store.query_keys(
-                f"{self.DIRECTORY.path}[. = {literal}]", self.DIRECTORY.prefixes
-            )
-        return [
-            key
-            for key in self.store.keys()
-            if text_of(self.store.load(key).find(f"{{{ns.WSRF_FIELDS}}}directory")) == path
-        ]

@@ -82,12 +82,6 @@ class TransferResourceAllocationService(TransferResourceService):
         self.account_address = account_address
         self.policy = AdminPolicy(admins)
 
-    def enable_indexes(self) -> None:
-        """Declare the application index over Site documents.  Opt-in: the
-        "1<app>" availability query then walks the posting list for the
-        application instead of every site; default costs are unchanged."""
-        self.sites.declare_indexes()
-
     # -- Create / Delete: computing sites (administrative) --------------------------
 
     def process_create(self, representation: XmlElement, context: MessageContext):
@@ -125,7 +119,7 @@ class TransferResourceAllocationService(TransferResourceService):
     def _available_resources(self, application: str) -> XmlElement:
         response = element(f"{{{ns.GIAB}}}AvailableResources")
         with transfer_faults():
-            for _key, site in self.sites.with_application(application):
+            for _key, site in self.sites.documents():
                 reserved = bool(text_of(site_field(site, "ReservedBy")))
                 if application_available(site_applications(site), application, reserved):
                     response.append(site.copy())

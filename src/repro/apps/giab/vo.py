@@ -9,7 +9,7 @@ dominated by "web service outcalls (and message signings)".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.apps.giab.jobs import ProcessSpawner
 from repro.apps.giab.storage import SimulatedFileSystem
@@ -36,7 +36,7 @@ from repro.container.security import SecurityMode, SecurityPolicy
 from repro.crypto.x509 import CertificateAuthority
 from repro.eventing.delivery import EventingConsumer
 from repro.eventing.manager import EventSubscriptionManagerService
-from repro.eventing.store import FlatFileSubscriptionStore, XmlDbSubscriptionStore
+from repro.eventing.store import FlatFileSubscriptionStore
 from repro.reliable import ReliableChannel, ReliableNotifier, RetryPolicy
 from repro.sim.costs import CostModel
 from repro.wsn.base import NotificationConsumer, SubscriptionManagerService
@@ -114,15 +114,11 @@ def build_wsrf_vo(
     hosts: dict[str, list[str]] | None = None,
     registered: bool = True,
     reliability: RetryPolicy | None = None,
-    indexed: bool = False,
 ) -> WsrfVo:
     """Stand up the five-service WSRF VO; ``registered`` pre-runs the admin
     workflow (accounts + host registry) so the client flow can start.
     ``reliability`` arms WS-RM retransmission on every client proxy,
-    container out-call and notification path.  ``indexed`` declares the
-    secondary indexes (host registry, reservations, directories) before
-    any document is written; the default False keeps the paper-calibrated
-    cost profile bit-identical."""
+    container out-call and notification path."""
     hosts = hosts if hosts is not None else GIAB_HOSTS
     deployment = _deployment(mode, costs, reliability)
     network = deployment.network
@@ -144,11 +140,6 @@ def build_wsrf_vo(
         Collection("hosts", network), reservation.address, admins
     )
     central.add_service(allocation)
-    if indexed:
-        # Declare while the collections are still empty: the build scan is
-        # free and every later write maintains the indexes incrementally.
-        reservation.enable_indexes()
-        allocation.enable_indexes()
 
     nodes: dict[str, NodePair] = {}
     for index, (node_name, applications) in enumerate(sorted(hosts.items())):
@@ -164,8 +155,6 @@ def build_wsrf_vo(
             node_name,
             reservation.address,
         )
-        if indexed:
-            data.enable_indexes()
         container.add_service(data)
         exec_service = WsrfExecService(
             ResourceHome(f"{node_name}-jobs", network), spawner, node_name, filesystem
@@ -204,12 +193,8 @@ def build_transfer_vo(
     hosts: dict[str, list[str]] | None = None,
     registered: bool = True,
     reliability: RetryPolicy | None = None,
-    indexed: bool = False,
 ) -> TransferVo:
-    """Stand up the four-service WS-Transfer VO.  ``indexed`` declares the
-    site application index and swaps the flat-file subscription store for
-    the indexed XML-database one; the default False keeps the
-    paper-calibrated cost profile bit-identical."""
+    """Stand up the four-service WS-Transfer VO."""
     hosts = hosts if hosts is not None else GIAB_HOSTS
     deployment = _deployment(mode, costs, reliability)
     network = deployment.network
@@ -226,8 +211,6 @@ def build_transfer_vo(
         Collection("sites", network), account.address, admins
     )
     central.add_service(allocation)
-    if indexed:
-        allocation.enable_indexes()
 
     nodes: dict[str, NodePair] = {}
     for index, (node_name, applications) in enumerate(sorted(hosts.items())):
@@ -235,12 +218,7 @@ def build_transfer_vo(
         container = deployment.add_container(node_name, "Node", node_creds)
         filesystem = SimulatedFileSystem(network)
         spawner = ProcessSpawner(network)
-        store = (
-            XmlDbSubscriptionStore(network, Collection(f"{node_name}-subs", network))
-            if indexed
-            else FlatFileSubscriptionStore(network)
-        )
-        manager = EventSubscriptionManagerService(store)
+        manager = EventSubscriptionManagerService(FlatFileSubscriptionStore(network))
         container.add_service(manager)
         data = TransferDataService(filesystem, node_name, allocation.address)
         container.add_service(data)

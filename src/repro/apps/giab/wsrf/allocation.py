@@ -38,20 +38,6 @@ class WsrfResourceAllocationService(ServiceSkeleton):
         self.reservation_address = reservation_address
         self.policy = AdminPolicy(admins)
 
-    def enable_indexes(self) -> None:
-        """Declare the application and host indexes over the registry.
-
-        Opt-in: GetAvailableResources then resolves the Application
-        predicate from a posting list (O(matching hosts)) instead of
-        scanning every registered host; the default cost profile without
-        this call is unchanged.
-        """
-        self.hosts.declare_indexes()
-
-    def registered_hosts(self) -> list[str]:
-        """All registered host names — a covering index read when indexed."""
-        return self.hosts.host_names()
-
     def _require_admin(self, context: MessageContext) -> None:
         try:
             self.policy.require_admin(context.sender)
@@ -94,7 +80,7 @@ class WsrfResourceAllocationService(ServiceSkeleton):
         )
         reserved = {h.text().strip() for h in reserved_response.element_children()}
         response = element(f"{{{ns.GIAB}}}getAvailableResourcesResponse")
-        for _key, doc in self.hosts.with_application(application):
+        for _key, doc in self.hosts.documents():
             info = parse_host_info(doc)
             if application_available(info["applications"], application, info["host"] in reserved):
                 response.append(

@@ -7,8 +7,8 @@ by examining the directory; Destroy removes the directory and its contents.
 
 This module is a *router*: wire parsing, the directory-as-WS-Resource
 idiom and WSRF fault phrasing over the shared data rules in
-:mod:`repro.apps.giab.logic` and the :class:`DirectoriesTable` accessor
-in :mod:`repro.apps.giab.db`.
+:mod:`repro.apps.giab.logic`.  Directory resources live in the service's
+:class:`~repro.wsrf.resource.ResourceHome` like any WS-Resource.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 
 from repro.addressing.epr import EndpointReference
 from repro.apps.giab.common import wsrf_actions as actions
-from repro.apps.giab.db import DirectoriesTable
 from repro.apps.giab.logic import list_directory, require_reservation_holder
 from repro.apps.giab.storage import FileSystemError, SimulatedFileSystem
 from repro.apps.layers.logic import LogicError
@@ -47,26 +46,10 @@ class WsrfDataService(
         reservation_address: str = "",
     ):
         super().__init__(home)
-        self.dirs = DirectoriesTable(home)
         self.filesystem = filesystem
         self.node_host = node_host
         self.reservation_address = reservation_address
         self._dir_ids = itertools.count(1)
-
-    def enable_indexes(self) -> None:
-        """Declare the directory-path index.  Opt-in: listing and reverse
-        lookup of directory resources then run off the index; default
-        costs are unchanged."""
-        self.dirs.declare_indexes()
-
-    def directories(self) -> list[str]:
-        """All directory paths managed by this service — a covering index
-        read when indexed, otherwise a load of each resource document."""
-        return self.dirs.directories()
-
-    def keys_for_directory(self, path: str) -> list[str]:
-        """Resource keys whose directory field equals ``path`` (normally one)."""
-        return self.dirs.keys_for(path)
 
     # -- operations ---------------------------------------------------------------
 

@@ -44,12 +44,6 @@ class WsrfReservationService(
         self.account_address = account_address
         self.delta_ms = delta_ms
 
-    def enable_indexes(self) -> None:
-        """Declare the reserved-host index.  Opt-in: the reserved-hosts
-        listing then becomes a covering index read and checkReservation an
-        O(hits) lookup; without this call costs are unchanged."""
-        self.reservations.declare_indexes()
-
     # -- creation (application-specific, as WSRF mandates nothing) ----------------
 
     @web_method(actions.CREATE_RESERVATION)

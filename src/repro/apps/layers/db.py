@@ -1,13 +1,13 @@
 """The db layer: typed accessors over ``repro.xmldb`` stores.
 
-A :class:`Table` wraps one collection (or any store with the same CRUD +
-index surface, e.g. a :class:`~repro.wsrf.resource.ResourceHome`) and owns
-its secondary-index declarations.  :meth:`Table.match_keys` centralizes
-the index-or-scan decision every Grid-in-a-Box service previously
-hand-rolled four times over: answer an equality probe from a covered index
+A :class:`Table` wraps one collection (or any store with the same CRUD
+surface, e.g. a :class:`~repro.wsrf.resource.ResourceHome`) and owns its
+secondary-index declarations, if it has any.  :meth:`Table.match_keys` is
+the index-or-scan decision: answer an equality probe from a covered index
 when one exists and the value is expressible as an XPath literal,
 otherwise return ``None`` so the accessor falls back to the scan whose
-shape — and therefore whose charged cost — it alone knows.
+shape — and therefore whose charged cost — it alone knows.  The datagrid
+replica catalog is the one accessor that declares an index.
 
 Layer discipline (lint rule RPO15): db-layer modules must not import
 ``repro.soap``, ``repro.container`` or ``repro.pipeline``.
@@ -31,9 +31,9 @@ class IndexSpec:
 class Table:
     """Typed accessor base over one xmldb store.
 
-    Subclasses declare ``indexes`` and expose domain-shaped methods
-    (``registered_hosts()``, ``find_replicas(lfn)``, ...); router and
-    logic code never touch the collection directly.
+    Subclasses may declare ``indexes`` and expose domain-shaped methods
+    (``reserved_hosts()``, ``files_on(host)``, ...); router and logic code
+    never touch the collection directly.
     """
 
     indexes: tuple[IndexSpec, ...] = ()
@@ -43,7 +43,7 @@ class Table:
 
     def declare_indexes(self) -> None:
         """Declare every index this accessor relies on (idempotent on the
-        underlying store; VO builders call this when indexing is enabled)."""
+        underlying store; the datagrid deployment builders call this)."""
         for spec in self.indexes:
             self.store.declare_index(spec.path, spec.prefixes)
 
@@ -60,10 +60,3 @@ class Table:
         if literal is None or not self.has_index(spec):
             return None
         return self.store.query_keys(f"{spec.path}[. = {literal}]", spec.prefixes)
-
-    def covering_values(self, spec: IndexSpec) -> list[str] | None:
-        """Every indexed value of ``spec`` without touching a document
-        (a covering read), or ``None`` when the index is absent."""
-        if not self.has_index(spec):
-            return None
-        return self.store.index_values(spec.path, spec.prefixes)

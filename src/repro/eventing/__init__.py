@@ -7,11 +7,7 @@ and the spec-external NotificationManager convenience for firing events —
 each named in §3.2 of the paper.
 """
 
-from repro.eventing.store import (
-    FlatFileSubscriptionStore,
-    SubscriptionRecord,
-    XmlDbSubscriptionStore,
-)
+from repro.eventing.store import FlatFileSubscriptionStore, SubscriptionRecord
 from repro.eventing.filters import EventFilter
 from repro.eventing.source import EventSourceMixin, actions
 from repro.eventing.manager import EventSubscriptionManagerService
@@ -21,7 +17,6 @@ from repro.eventing.delivery import EventingConsumer
 __all__ = [
     "FlatFileSubscriptionStore",
     "SubscriptionRecord",
-    "XmlDbSubscriptionStore",
     "EventFilter",
     "EventSourceMixin",
     "EventSubscriptionManagerService",

@@ -12,13 +12,10 @@ import itertools
 from dataclasses import dataclass, replace
 
 from repro.sim.network import Network
-from repro.xmldb.collection import Collection, DocumentNotFound
 from repro.xmllib import element, ns, parse_xml, serialize, text_of
 from repro.xmllib.element import XmlElement
-from repro.xmllib.xpath import xpath_literal
 
 _NS = ns.EVENTING_STORE
-_PREFIXES = {"es": _NS}
 
 
 @dataclass(frozen=True)
@@ -162,82 +159,3 @@ class FlatFileSubscriptionStore:
     def __len__(self) -> int:
         return len(self._load_all())
 
-
-class XmlDbSubscriptionStore:
-    """Subscriptions as XML-database documents, one per subscription.
-
-    The flat-file store pays a whole-file rewrite per mutation and a
-    whole-file parse per read; this variant keys each record by its
-    subscription identifier and declares a secondary index on the
-    subscription Source, so :meth:`for_source` — the hot path of every
-    event fire — is an O(hits) posting-list lookup instead of O(N).
-    Drop-in API-compatible with :class:`FlatFileSubscriptionStore`.
-    """
-
-    #: Indexed path: the event-source address of each subscription record.
-    SOURCE_INDEX_PATH = "//es:Source"
-
-    def __init__(self, network: Network, collection: Collection | None = None):
-        self.network = network
-        self.collection = (
-            collection if collection is not None else Collection("subscriptions", network)
-        )
-        self.collection.declare_index(self.SOURCE_INDEX_PATH, _PREFIXES)
-        self._ids = itertools.count(1)
-
-    # -- API (mirrors FlatFileSubscriptionStore) -------------------------------
-
-    def new_identifier(self) -> str:
-        return f"uuid:sub-{next(self._ids):08d}"
-
-    def add(self, record: SubscriptionRecord) -> None:
-        if self.collection.contains(record.identifier):
-            raise ValueError(f"duplicate subscription id: {record.identifier}")
-        self.collection.insert(record.to_xml(), record.identifier)
-
-    def get(self, identifier: str) -> SubscriptionRecord | None:
-        try:
-            return SubscriptionRecord.from_xml(self.collection.read(identifier))
-        except DocumentNotFound:
-            return None
-
-    def remove(self, identifier: str) -> bool:
-        try:
-            self.collection.delete(identifier)
-        except DocumentNotFound:
-            return False
-        return True
-
-    def renew(self, identifier: str, expires: float | None) -> SubscriptionRecord | None:
-        record = self.get(identifier)
-        if record is None:
-            return None
-        renewed = replace(record, expires=expires)
-        self.collection.update(identifier, renewed.to_xml())
-        return renewed
-
-    def for_source(self, source_address: str) -> list[SubscriptionRecord]:
-        literal = xpath_literal(source_address)
-        if literal is not None:
-            keys = self.collection.query_keys(
-                f"{self.SOURCE_INDEX_PATH}[. = {literal}]", _PREFIXES
-            )
-            return [
-                SubscriptionRecord.from_xml(self.collection.read(key)) for key in keys
-            ]
-        # Address not spellable as an XPath literal: load-and-filter fallback.
-        return [r for r in self._all() if r.source_address == source_address]
-
-    def prune_expired(self, now: float) -> list[SubscriptionRecord]:
-        dead = [r for r in self._all() if r.expired(now)]
-        for record in dead:
-            self.collection.delete(record.identifier)
-        return dead
-
-    def __len__(self) -> int:
-        return len(self.collection)
-
-    def _all(self) -> list[SubscriptionRecord]:
-        return [
-            SubscriptionRecord.from_xml(doc) for _, doc in self.collection.documents()
-        ]

@@ -3,8 +3,8 @@
 A spec (:class:`~repro.experiments.spec.ExperimentSpec`) names its swept
 axes, its measurement callable and its shape invariants; the engine
 (:class:`~repro.experiments.engine.ExperimentEngine`) expands the grid,
-runs cells deterministically (seeded, checkpointed, resumable) and
-consolidates them into one unified record schema
+runs cells deterministically (seeded, in grid order) and consolidates
+them into one unified record schema
 (:class:`~repro.experiments.schema.RunRecord`) that every published
 artifact — ``results/*.csv``, ``BENCH_*.json``, EXPERIMENTS.md — renders
 from.  The gates (:mod:`~repro.experiments.gates`) diff fresh runs
@@ -12,13 +12,7 @@ against the recorded trajectory: invariant violations, ordering flips and
 virtual-cost drift all fail ``python -m repro experiments --check``.
 """
 
-from repro.experiments.engine import (
-    EngineError,
-    ExperimentEngine,
-    GridIncomplete,
-    RunStats,
-    run_in_memory,
-)
+from repro.experiments.engine import EngineError, ExperimentEngine, run_in_memory
 from repro.experiments.gates import (
     GateReport,
     check_against_record,
@@ -54,12 +48,10 @@ __all__ = [
     "ExperimentEngine",
     "ExperimentSpec",
     "GateReport",
-    "GridIncomplete",
     "Invariant",
     "PairOrdering",
     "Predicate",
     "RunRecord",
-    "RunStats",
     "SchemaError",
     "SpecError",
     "check_against_record",

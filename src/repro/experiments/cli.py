@@ -1,11 +1,10 @@
-"""``python -m repro experiments`` — run, resume, check, document.
+"""``python -m repro experiments`` — run, check, document.
 
 Modes (combinable where it makes sense):
 
 * ``--list``            — every spec: grid size, gate kind, smoke flag.
 * ``--run NAME...``     — run grids (``all`` = every spec), write records
-                          + artifacts; ``--resume`` loads checkpointed
-                          cells instead of re-measuring them.
+                          + artifacts.
 * ``--check [NAME...]`` — fresh in-memory runs gated against the
                           committed records (invariants, ordering flips,
                           drift, artifact staleness).
@@ -53,22 +52,20 @@ def _list_specs(out) -> None:
         out.write(f"{'':22s} {spec.title}\n")
 
 
-def _run_specs(engine: ExperimentEngine, specs, *, resume: bool, out) -> dict:
+def _run_specs(engine: ExperimentEngine, specs, out) -> dict:
     from repro.bench.report import format_figure_table
 
     summary = {}
     for spec in specs:
-        record = engine.run(spec, resume=resume)
-        stats = engine.last_stats
+        record = engine.run(spec)
         out.write(
-            f"{spec.name}: {stats.measured} measured, {stats.resumed} resumed "
+            f"{spec.name}: {len(record.cells)} cells "
             f"-> {engine.record_path(spec.name)}\n"
         )
         if spec.to_figure is not None:
             out.write(format_figure_table(spec.title, spec.figure(record)) + "\n\n")
         summary[spec.name] = {
-            "measured": stats.measured,
-            "resumed": stats.resumed,
+            "cells": len(record.cells),
             "record": engine.record_path(spec.name),
             "artifacts": sorted(spec.artifacts(record)),
         }
@@ -99,10 +96,6 @@ def experiments_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true", help="list every spec")
     parser.add_argument(
         "--run", nargs="+", metavar="NAME", help="run specs ('all' = every spec)"
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="with --run: load completed cell checkpoints instead of re-measuring",
     )
     parser.add_argument(
         "--check", nargs="*", metavar="NAME",
@@ -140,9 +133,7 @@ def experiments_main(argv: list[str] | None = None) -> int:
 
     if args.run:
         acted = True
-        summary["run"] = _run_specs(
-            engine, _resolve(args.run), resume=args.resume, out=out
-        )
+        summary["run"] = _run_specs(engine, _resolve(args.run), out)
 
     check_specs = None
     if args.smoke:

@@ -9,11 +9,10 @@ Four failure classes, in the order they are reported:
   (x509 > https > none, distributed > colocated, Create slowest, …)
   no longer hold on the fresh run;
 * **ordering flips** — for any numeric metric path, two cells whose
-  recorded values were strictly ordered now order the other way (this
-  catches shape regressions even when a tolerance allows drift);
-* **cost drift** — a numeric leaf moved more than the spec's tolerance
-  relative to the recorded value (0.0 = bit-identical, the default for
-  virtual-clock specs).
+  recorded values were strictly ordered now order the other way (reported
+  apart from drift because it names the ordering that broke);
+* **cost drift** — a numeric leaf changed at all: virtual-clock numbers
+  must match the record bit for bit.
 
 Specs gated ``shape`` (wall-clock benches) skip drift and ordering —
 their absolute numbers are machine-dependent — and are judged on
@@ -116,10 +115,8 @@ def find_leaf_changes(recorded: RunRecord, fresh: RunRecord) -> list[str]:
     return problems
 
 
-def find_drift(
-    recorded: RunRecord, fresh: RunRecord, tolerance: float
-) -> list[str]:
-    """Numeric leaves that moved beyond ``tolerance`` (relative)."""
+def find_drift(recorded: RunRecord, fresh: RunRecord) -> list[str]:
+    """Numeric leaves whose value changed."""
     rec = _leaves_by_cell(recorded)
     new = _leaves_by_cell(fresh)
     problems: list[str] = []
@@ -129,15 +126,8 @@ def find_drift(
         rec_leaves, new_leaves = rec[cell_id], new[cell_id]
         for path in sorted(set(rec_leaves) & set(new_leaves)):
             was, now = rec_leaves[path], new_leaves[path]
-            if was == now:
-                continue
-            drift = abs(now - was) / abs(was) if was != 0 else float("inf")
-            if drift > tolerance:
-                problems.append(
-                    f"{cell_id}:{path} drifted {was:g} → {now:g} "
-                    f"({'∞' if drift == float('inf') else f'{drift:.2%}'} "
-                    f"> {tolerance:.2%} tolerance)"
-                )
+            if was != now:
+                problems.append(f"{cell_id}:{path} drifted {was!r} → {now!r}")
     return problems
 
 
@@ -163,7 +153,7 @@ def check_against_record(
     report.invariant_violations = evaluate_invariants(spec, fresh)
     if spec.gate == "exact":
         report.ordering_flips = find_ordering_flips(recorded, fresh)
-        report.drift_violations = find_drift(recorded, fresh, spec.tolerance)
+        report.drift_violations = find_drift(recorded, fresh)
     return report
 
 

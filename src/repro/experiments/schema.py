@@ -23,7 +23,7 @@ SCHEMA_VERSION = 1
 
 
 class SchemaError(ValueError):
-    """A record (or checkpoint) that does not parse as this schema."""
+    """A record that does not parse as this schema."""
 
 
 def _require(condition: bool, message: str) -> None:
@@ -146,9 +146,9 @@ class RunRecord:
 
 
 def dumps_canonical(payload) -> str:
-    """The one serializer every record/checkpoint/artifact JSON goes
-    through: sorted keys, indent 2, trailing newline — so identical data
-    is identical bytes."""
+    """The one serializer every record/artifact JSON goes through: sorted
+    keys, indent 2, trailing newline — so identical data is identical
+    bytes."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -1,10 +1,10 @@
 """Declarative experiment specs: axes × measurement × invariants.
 
 A spec names what varies (:class:`Axis` values — stack, security mode,
-placement, workload, fault profile, index/reliability flags…), how one
-cell is measured (a callable from ``(params, seed)`` to a JSON payload),
-and which *shape* claims the measured numbers must keep satisfying
-(:class:`PairOrdering` / :class:`Predicate` invariants).  The engine
+placement, workload, loss rate…), how one cell is measured (a callable
+from ``(params, seed)`` to a JSON payload), and which *shape* claims the
+measured numbers must keep satisfying (:class:`PairOrdering` /
+:class:`Predicate` invariants).  The engine
 (:mod:`repro.experiments.engine`) expands the grid and runs it; the gate
 (:mod:`repro.experiments.gates`) re-evaluates the invariants and diffs
 fresh numbers against the recorded trajectory.
@@ -37,10 +37,9 @@ _SCALARS = (str, int, float, bool)
 class Axis:
     """One swept dimension: a name and its ordered values.
 
-    Values must be JSON scalars — they appear verbatim in cell ids,
-    checkpoint filenames and the serialized record, and the grid order
-    (outer axes first, values in declaration order) is part of the
-    reproducibility contract.
+    Values must be JSON scalars — they appear verbatim in cell ids and
+    the serialized record, and the grid order (outer axes first, values
+    in declaration order) is part of the reproducibility contract.
     """
 
     name: str
@@ -164,8 +163,8 @@ def evaluate_invariants(spec: "ExperimentSpec", record: RunRecord) -> list[str]:
 # -- the spec ----------------------------------------------------------------
 
 #: How the gate treats a spec's numbers.  ``exact``: virtual-clock
-#: deterministic — fresh numbers must match the record bit-for-bit (plus
-#: ordering stability at any looser tolerance).  ``shape``: wall-clock —
+#: deterministic — fresh numbers must match the record bit-for-bit, and a
+#: reversed cross-cell ordering is named as such.  ``shape``: wall-clock —
 #: only the invariants are re-evaluated; absolute numbers may drift.
 GATE_KINDS = ("exact", "shape")
 
@@ -184,19 +183,14 @@ class ExperimentSpec:
     #: Base seed; each cell's seed is derived from it and the cell id.
     seed: int = 0
     invariants: tuple[Invariant, ...] = ()
-    #: Gate mode (see GATE_KINDS) and allowed relative drift for "exact"
-    #: specs (0.0 = bit-identical, the default for virtual-clock numbers).
+    #: Gate mode (see GATE_KINDS).
     gate: str = "exact"
-    tolerance: float = 0.0
     #: Builds the legacy figure table (series → {column → value}) from a
     #: record; used for the ``results/*.csv`` artifact and the docs table.
     to_figure: Callable[[RunRecord], dict] | None = None
     #: Extra artifacts beyond the default figure CSV:
     #: ``fn(record) -> {relative filename: exact file text}``.
     extra_artifacts: Callable[[RunRecord], dict[str, str]] | None = None
-    #: Markdown narrative for EXPERIMENTS.md, formatted from the record;
-    #: ``fn(record) -> str`` (the section body below the table).
-    doc_narrative: Callable[[RunRecord], str] | None = None
     #: Included in ``--smoke`` (must be cheap: a few hundred ms).
     smoke: bool = False
     #: Spec-level constants recorded in the run record's config block.
@@ -214,8 +208,6 @@ class ExperimentSpec:
             raise SpecError(f"spec {self.name!r} has duplicate axis names")
         if self.gate not in GATE_KINDS:
             raise SpecError(f"spec {self.name!r}: unknown gate kind {self.gate!r}")
-        if self.tolerance < 0:
-            raise SpecError(f"spec {self.name!r}: negative tolerance")
 
     # -- grid --------------------------------------------------------------
 
@@ -243,8 +235,7 @@ class ExperimentSpec:
 
     def fingerprint(self) -> str:
         """Identity of the grid contract (not the measurement code):
-        changing axes, seed, gate or config invalidates old records and
-        checkpoints."""
+        changing axes, seed, gate or config invalidates old records."""
         identity = dumps_canonical(
             {
                 "schema_version": SCHEMA_VERSION,

@@ -35,11 +35,9 @@ from repro.sim.kernel import (
 from repro.sim.metrics import (
     MetricsRecorder,
     OperationTrace,
-    QueueDepthMeter,
     SampleSet,
     Span,
     SpanRecorder,
-    merge_sample_sets,
     percentile,
 )
 from repro.sim.network import Host, Network, TransportKind
@@ -71,9 +69,7 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "SampleSet",
-    "QueueDepthMeter",
     "percentile",
-    "merge_sample_sets",
     "Host",
     "Network",
     "TransportKind",

@@ -354,52 +354,3 @@ class SampleSet:
             "max_ms": self.max,
         }
 
-
-def merge_sample_sets(per_host: dict[str, SampleSet]) -> SampleSet:
-    """Pool per-host sample sets into one fleet-wide set.
-
-    Hosts are merged in sorted-name order so the pooled sample list — and
-    anything derived from its insertion order — is deterministic.
-    """
-    merged = SampleSet()
-    for _host, samples in sorted(per_host.items()):
-        merged = merged.merge(samples)
-    return merged
-
-
-class QueueDepthMeter:
-    """Tracks a queue's occupancy over virtual time.
-
-    Records every transition, so besides the high-water mark it can report
-    the time-weighted average depth — the difference between "briefly
-    spiked to 10" and "sat at 10 for the whole run".
-    """
-
-    def __init__(self) -> None:
-        self.depth = 0
-        self.max_depth = 0
-        self._transitions: list[tuple[float, int]] = []
-
-    def record(self, now: float, depth: int) -> None:
-        if depth < 0:
-            raise ValueError(f"queue depth cannot be negative: {depth}")
-        self.depth = depth
-        self.max_depth = max(self.max_depth, depth)
-        self._transitions.append((now, depth))
-
-    def time_weighted_mean(self, until: float) -> float:
-        """Average depth over [first transition, ``until``]."""
-        if not self._transitions:
-            return 0.0
-        total = 0.0
-        start = self._transitions[0][0]
-        if until < start:
-            raise ValueError(f"until={until} precedes first transition at {start}")
-        for (at, depth), (next_at, _next_depth) in zip(
-            self._transitions, self._transitions[1:]
-        ):
-            total += depth * (next_at - at)
-        last_at, last_depth = self._transitions[-1]
-        total += last_depth * (until - last_at)
-        window = until - start
-        return total / window if window > 0 else float(self._transitions[-1][1])

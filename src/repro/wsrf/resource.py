@@ -33,17 +33,9 @@ class ResourceUnknownError(LookupError):
 class ResourceHome:
     """Storage + lifetime bookkeeping for one service's WS-Resources."""
 
-    def __init__(
-        self,
-        name: str,
-        network: Network,
-        *,
-        cached: bool = True,
-        backend=None,
-    ) -> None:
+    def __init__(self, name: str, network: Network, *, backend=None) -> None:
         self.network = network
-        collection = Collection(name, network, backend)
-        self.store = WriteThroughCache(collection) if cached else collection
+        self.store = WriteThroughCache(Collection(name, network, backend))
         self._termination_time: dict[str, float] = {}
         self._timers: dict[str, Timer] = {}
         #: Invoked with the resource key just before scheduled destruction
@@ -87,19 +79,6 @@ class ResourceHome:
 
     def query_keys(self, expression: str, prefixes: dict[str, str] | None = None):
         return self.store.query_keys(expression, prefixes)
-
-    # -- secondary indexes -------------------------------------------------
-
-    def declare_index(self, path: str, prefixes: dict[str, str] | None = None):
-        """Declare a secondary index over this home's resource documents;
-        ``query``/``query_keys`` then answer covered lookups in O(hits)."""
-        return self.store.declare_index(path, prefixes)
-
-    def find_index(self, path: str, prefixes: dict[str, str] | None = None):
-        return self.store.find_index(path, prefixes)
-
-    def index_values(self, path: str, prefixes: dict[str, str] | None = None) -> list[str]:
-        return self.store.index_values(path, prefixes)
 
     # -- scheduled termination (WS-ResourceLifetime) ------------------------------
 

@@ -18,9 +18,9 @@ from repro.xmllib import QName, element, ns, parse_xml, serialize, text_of
 from repro.xmllib.element import XmlElement
 from repro.xmllib.xpath import xpath_literal
 
-#: Index path for member lookup by address URI (opt-in via ``enable_index``).
-MEMBER_INDEX_PATH = "//f:member_uri"
-MEMBER_INDEX_PREFIXES = {"f": ns.WSRF_FIELDS}
+#: Path of the member address URI that ``entries_for_member`` queries.
+MEMBER_PATH = "//f:member_uri"
+MEMBER_PREFIXES = {"f": ns.WSRF_FIELDS}
 
 
 class actions:
@@ -40,8 +40,8 @@ class ServiceGroupService(ResourcePropertiesMixin, ResourceLifetimeMixin, WsReso
     resource_ns = ns.WSRF_SG
 
     member_address = ResourceField(str, "")
-    #: Bare address URI, duplicated out of the EPR so an equality index can
-    #: cover member lookups without parsing serialized EPR XML.
+    #: Bare address URI, duplicated out of the EPR so member lookups can
+    #: match it without parsing serialized EPR XML.
     member_uri = ResourceField(str, "")
     content_xml = ResourceField(str, "")
 
@@ -109,25 +109,17 @@ class ServiceGroupService(ResourcePropertiesMixin, ResourceLifetimeMixin, WsReso
     def remove_entry(self, entry_key: str) -> None:
         self.home.destroy(entry_key)
 
-    # -- indexed member lookup (opt-in; default cost profile is unchanged) -----
-
-    def enable_index(self):
-        """Declare the member-address index; from then on every Add keeps it
-        current and :meth:`entries_for_member` answers in O(hits)."""
-        return self.home.declare_index(MEMBER_INDEX_PATH, MEMBER_INDEX_PREFIXES)
-
     def entries_for_member(self, address: str) -> list[str]:
         """Entry keys registered for a member address.
 
-        Routes through the query planner, so with :meth:`enable_index` this
-        is an O(hits) posting-list lookup; without it, a charged scan.  An
-        address that cannot be spelled as an XPath literal (contains both
-        quote kinds) falls back to loading the members list.
+        A charged query over the group's entries.  An address that cannot
+        be spelled as an XPath literal (contains both quote kinds) falls
+        back to loading the members list.
         """
         literal = xpath_literal(address)
         if literal is not None:
             return self.home.query_keys(
-                f"{MEMBER_INDEX_PATH}[. = {literal}]", MEMBER_INDEX_PREFIXES
+                f"{MEMBER_PATH}[. = {literal}]", MEMBER_PREFIXES
             )
         return [key for key, epr, _ in self.members() if epr.address == address]
 

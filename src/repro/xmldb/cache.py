@@ -12,8 +12,7 @@ churn the hottest resources stay resident and the coldest one is evicted.
 
 from __future__ import annotations
 
-from repro.xmldb.collection import Collection, DocumentNotFound
-from repro.xmldb.index import XPathIndex
+from repro.xmldb.collection import Collection
 from repro.xmllib.element import XmlElement
 
 
@@ -83,25 +82,6 @@ class WriteThroughCache:
 
     def query_keys(self, expression: str, prefixes: dict[str, str] | None = None):
         return self.collection.query_keys(expression, prefixes)
-
-    # -- secondary indexes (maintained by the collection on every write) ----
-
-    def declare_index(
-        self,
-        path: str,
-        prefixes: dict[str, str] | None = None,
-        *,
-        name: str | None = None,
-    ) -> XPathIndex:
-        return self.collection.declare_index(path, prefixes, name=name)
-
-    def find_index(
-        self, path: str, prefixes: dict[str, str] | None = None
-    ) -> XPathIndex | None:
-        return self.collection.find_index(path, prefixes)
-
-    def index_values(self, path: str, prefixes: dict[str, str] | None = None) -> list[str]:
-        return self.collection.index_values(path, prefixes)
 
     def _put(self, key: str, document: XmlElement) -> None:
         # Re-inserting an existing key must refresh its recency, so drop it

@@ -81,6 +81,11 @@ class TestRpo05SimCost:
         }
         assert all(f.severity == "warning" for f in findings)
 
+    def test_nested_def_work_is_reported_once(self):
+        # The WireMessage is built inside ``inner``: ``outer`` only calls it.
+        findings = findings_for("rpo05_nested.py", "RPO05")
+        assert [(f.line, f.col, f.symbol) for f in findings] == [(8, 15, "inner")]
+
     def test_clean_passes(self):
         assert findings_for("clean.py", "RPO05") == []
 

@@ -1,13 +1,9 @@
-"""The XML-database subscription store: API parity with the flat file,
-index-maintained Source lookups, and its use in the indexed VO."""
+"""The subscription-store API the WS-Eventing manager relies on, run
+against the flat-file store every WS-Transfer VO uses."""
 
 import pytest
 
-from repro.eventing.store import (
-    FlatFileSubscriptionStore,
-    SubscriptionRecord,
-    XmlDbSubscriptionStore,
-)
+from repro.eventing.store import FlatFileSubscriptionStore, SubscriptionRecord
 from repro.sim import CostModel, Network
 
 
@@ -24,11 +20,11 @@ def record(store, ident=None, source="soap://node1/Node/Source", expires=None):
 
 @pytest.fixture()
 def store():
-    return XmlDbSubscriptionStore(Network(CostModel()))
+    return FlatFileSubscriptionStore(Network(CostModel()))
 
 
 class TestApiParity:
-    """Every FlatFileSubscriptionStore behaviour, on the DB-backed store."""
+    """Add, get, remove, renew, source lookup and expiry on one store."""
 
     def test_add_get_roundtrip(self, store):
         rec = record(store)
@@ -68,54 +64,3 @@ class TestApiParity:
         assert [r.identifier for r in dropped] == [dead.identifier]
         assert store.get(live.identifier) is not None
         assert len(store) == 1
-
-    def test_matches_flat_file_semantics(self):
-        network = Network(CostModel())
-        flat = FlatFileSubscriptionStore(network)
-        db = XmlDbSubscriptionStore(network)
-        for source in ("soap://n1/S", "soap://n2/S", "soap://n1/S"):
-            ident = flat.new_identifier()
-            for s in (flat, db):
-                s.add(
-                    SubscriptionRecord(
-                        identifier=ident,
-                        source_address=source,
-                        notify_to="soap://client/C",
-                    )
-                )
-        for source in ("soap://n1/S", "soap://n2/S", "soap://n3/S"):
-            assert [r.identifier for r in flat.for_source(source)] == [
-                r.identifier for r in db.for_source(source)
-            ]
-
-
-class TestIndexedLookup:
-    def test_source_index_is_declared_and_maintained(self, store):
-        from repro.xmllib import ns
-
-        index = store.collection.find_index(
-            XmlDbSubscriptionStore.SOURCE_INDEX_PATH, {"es": ns.EVENTING_STORE}
-        )
-        assert index is not None
-        rec = record(store, source="soap://n1/S")
-        assert index.lookup("soap://n1/S") == {rec.identifier}
-        store.remove(rec.identifier)
-        assert index.lookup("soap://n1/S") == set()
-
-    def test_for_source_cost_independent_of_other_sources(self):
-        def lookup_cost(n_other: int) -> float:
-            network = Network(CostModel())
-            store = XmlDbSubscriptionStore(network)
-            record(store, source="soap://hot/S")
-            for i in range(n_other):
-                record(store, source=f"soap://cold{i:03d}/S")
-            before = network.clock.now
-            store.for_source("soap://hot/S")
-            return network.clock.now - before
-
-        assert lookup_cost(50) == pytest.approx(lookup_cost(2), abs=1e-9)
-
-    def test_unquotable_source_falls_back(self, store):
-        awkward = "soap://we\"ird'/S"
-        rec = record(store, source=awkward)
-        assert [r.identifier for r in store.for_source(awkward)] == [rec.identifier]

@@ -58,15 +58,3 @@ class TestRunAndCheck:
         summary = json.loads(capsys.readouterr().out)
         assert summary["ok"] is True
         assert summary["check"]["spec_complexity"]["ok"] is True
-
-    def test_resume_flag_reuses_checkpoints(self, tmp_path, capsys):
-        results = str(tmp_path)
-        experiments_main(["--run", "spec_complexity", "--results", results])
-        capsys.readouterr()
-        assert (
-            experiments_main(
-                ["--run", "spec_complexity", "--resume", "--results", results]
-            )
-            == 0
-        )
-        assert "0 measured, 2 resumed" in capsys.readouterr().out

@@ -1,16 +1,8 @@
-"""Engine determinism, checkpointing and resume semantics."""
-
-import json
-import os
+"""Engine grid execution, determinism and records."""
 
 import pytest
 
-from repro.experiments import (
-    EngineError,
-    ExperimentEngine,
-    GridIncomplete,
-    run_in_memory,
-)
+from repro.experiments import EngineError, ExperimentEngine, run_in_memory
 from tests.experiments.conftest import CountingMeasure, make_toy_spec
 
 
@@ -64,79 +56,7 @@ class TestDeterminism:
                 assert fh.read() == text
 
 
-class TestResume:
-    def test_kill_after_n_cells_then_resume_is_bit_identical(self, tmp_path):
-        reference = run_in_memory(make_toy_spec())
-        measure = CountingMeasure()
-        spec = make_toy_spec(measure=measure)
-        engine = ExperimentEngine(str(tmp_path))
-        with pytest.raises(GridIncomplete) as excinfo:
-            engine.run(spec, max_cells=2)
-        assert len(excinfo.value.completed) == 2
-        assert len(measure.calls) == 2
-        # The resumed run measures only the remaining cells...
-        record = engine.run(spec, resume=True)
-        assert len(measure.calls) == 4
-        assert engine.last_stats.resumed == 2
-        assert engine.last_stats.measured == 2
-        # ...and completes the grid bit-identically to an uninterrupted run.
-        assert record.dumps() == reference.dumps()
-
-    def test_full_resume_re_measures_nothing(self, tmp_path):
-        measure = CountingMeasure()
-        spec = make_toy_spec(measure=measure)
-        engine = ExperimentEngine(str(tmp_path))
-        first = engine.run(spec)
-        calls_after_first = len(measure.calls)
-        second = engine.run(spec, resume=True)
-        assert len(measure.calls) == calls_after_first
-        assert engine.last_stats.resumed == 4
-        assert second.dumps() == first.dumps()
-
-    def test_changed_fingerprint_invalidates_checkpoints(self, tmp_path):
-        engine = ExperimentEngine(str(tmp_path))
-        engine.run(make_toy_spec(seed=0))
-        measure = CountingMeasure()
-        reseeded = make_toy_spec(seed=1, measure=measure)
-        assert reseeded.fingerprint() != make_toy_spec(seed=0).fingerprint()
-        engine.run(reseeded, resume=True)
-        # Same cell filenames on disk, but the stale fingerprint forces a
-        # full re-measure rather than silently mixing two contracts.
-        assert len(measure.calls) == 4
-        assert engine.last_stats.resumed == 0
-
-    def test_torn_checkpoint_is_re_measured(self, tmp_path):
-        engine = ExperimentEngine(str(tmp_path))
-        spec = make_toy_spec()
-        record = engine.run(spec)
-        torn = engine.checkpoint_path(spec, record.cells[1].cell_id)
-        with open(torn, "w", encoding="utf-8") as fh:
-            fh.write('{"fingerprint": "truncated')
-        measure = CountingMeasure()
-        respec = make_toy_spec(measure=measure)
-        resumed = engine.run(respec, resume=True)
-        assert [c["stack"] for c in measure.calls] == ["transfer"]
-        assert resumed.dumps() == record.dumps()
-
-    def test_checkpoint_files_are_canonical_json(self, tmp_path):
-        engine = ExperimentEngine(str(tmp_path))
-        spec = make_toy_spec()
-        engine.run(spec)
-        directory = engine.checkpoint_dir(spec.name)
-        names = sorted(os.listdir(directory))
-        assert len(names) == 4
-        for name in names:
-            with open(os.path.join(directory, name), encoding="utf-8") as fh:
-                payload = json.load(fh)
-            assert payload["fingerprint"] == spec.fingerprint()
-
-    def test_clear_checkpoints(self, tmp_path):
-        engine = ExperimentEngine(str(tmp_path))
-        spec = make_toy_spec()
-        engine.run(spec)
-        engine.clear_checkpoints(spec)
-        assert os.listdir(engine.checkpoint_dir(spec.name)) == []
-
+class TestRecords:
     def test_missing_record_error_names_the_run_command(self, tmp_path):
         with pytest.raises(EngineError, match="--run toy"):
             ExperimentEngine(str(tmp_path)).load_record("toy")

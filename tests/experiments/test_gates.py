@@ -1,7 +1,7 @@
 """The regression gates, exercised with planted tampering.
 
 Every failure class check.sh relies on is demonstrated here: a planted
-ordering flip, planted drift beyond tolerance, invariant violations, a
+ordering flip, planted drift, invariant violations, a
 changed grid contract, missing/extra cells, and stale artifacts.
 """
 
@@ -73,15 +73,13 @@ class TestOrderingFlips:
 class TestDrift:
     def test_identical_runs_have_no_drift(self):
         record = run_in_memory(make_toy_spec())
-        assert find_drift(record, record, tolerance=0.0) == []
+        assert find_drift(record, record) == []
 
     def test_planted_drift_beyond_tolerance_is_reported(self):
         spec = make_toy_spec()
         recorded = run_in_memory(spec)
         fresh = tampered(run_in_memory(spec), 0, get_ms=10.5)  # +5%
-        assert find_drift(recorded, fresh, tolerance=0.0)
-        assert find_drift(recorded, fresh, tolerance=0.01)
-        assert find_drift(recorded, fresh, tolerance=0.10) == []
+        assert find_drift(recorded, fresh)
 
     def test_vanished_and_appeared_leaves_are_reported(self):
         spec = make_toy_spec()
@@ -99,7 +97,7 @@ class TestDrift:
         assert any("vanished" in p for p in problems)
         assert any("appeared" in p for p in problems)
         # Value drift is a separate class: the shared leaves did not move.
-        assert find_drift(recorded, fresh, tolerance=0.0) == []
+        assert find_drift(recorded, fresh) == []
 
 
 class TestCheckAgainstRecord:

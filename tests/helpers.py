@@ -33,7 +33,6 @@ def fresh_vo(
     stack: str,
     *,
     mode: SecurityMode = SecurityMode.X509,
-    indexed: bool = False,
     reliable: bool = False,
     **overrides,
 ):
@@ -48,4 +47,4 @@ def fresh_vo(
         raise ValueError(f"unknown stack: {stack!r}")
     builder = build_wsrf_vo if stack == "wsrf" else build_transfer_vo
     reliability = RetryPolicy() if reliable else None
-    return builder(mode=mode, indexed=indexed, reliability=reliability, **overrides)
+    return builder(mode=mode, reliability=reliability, **overrides)

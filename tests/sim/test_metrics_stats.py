@@ -1,10 +1,10 @@
-"""Percentile / sample-set / queue-depth math (the loadgen's statistics)."""
+"""Percentile / sample-set math (the loadgen's statistics)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import QueueDepthMeter, SampleSet, merge_sample_sets, percentile
+from repro.sim import SampleSet, percentile
 
 _samples = st.lists(
     st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=40
@@ -102,15 +102,6 @@ class TestSampleSet:
         # Merge is non-destructive.
         assert host_a.count == 3 and host_b.count == 2
 
-    def test_merge_sample_sets_is_host_order_independent(self):
-        per_host = {
-            "opteron2": SampleSet([4.0, 5.0]),
-            "opteron1": SampleSet([1.0, 2.0, 3.0]),
-        }
-        merged = merge_sample_sets(per_host)
-        assert merged.count == 5
-        assert merged.samples() == [1.0, 2.0, 3.0, 4.0, 5.0]  # sorted-name order
-
     def test_merge_with_empty_is_identity(self):
         host = SampleSet([3.0, 1.0])
         assert host.merge(SampleSet()).samples() == host.samples()
@@ -125,66 +116,3 @@ class TestSampleSet:
         for p in (0, 50, 95, 100):
             assert left.percentile(p) == right.percentile(p)
 
-
-class TestQueueDepthMeter:
-    def test_tracks_high_water_mark(self):
-        meter = QueueDepthMeter()
-        for now, depth in ((0.0, 1), (5.0, 3), (10.0, 2)):
-            meter.record(now, depth)
-        assert meter.max_depth == 3
-        assert meter.depth == 2
-
-    def test_time_weighted_mean(self):
-        meter = QueueDepthMeter()
-        meter.record(0.0, 0)
-        meter.record(10.0, 4)   # depth 0 for 10ms
-        meter.record(20.0, 0)   # depth 4 for 10ms
-        # 0*10 + 4*10 + 0*10 over 30ms
-        assert meter.time_weighted_mean(until=30.0) == pytest.approx(4 / 3)
-
-    def test_mean_distinguishes_spike_from_plateau(self):
-        spike = QueueDepthMeter()
-        spike.record(0.0, 10)
-        spike.record(1.0, 0)
-        plateau = QueueDepthMeter()
-        plateau.record(0.0, 10)
-        plateau.record(99.0, 0)
-        assert spike.max_depth == plateau.max_depth == 10
-        assert spike.time_weighted_mean(100.0) < plateau.time_weighted_mean(100.0)
-
-    def test_empty_meter_mean_is_zero(self):
-        assert QueueDepthMeter().time_weighted_mean(100.0) == 0.0
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
-            QueueDepthMeter().record(0.0, -1)
-
-    def test_until_before_first_transition_rejected(self):
-        meter = QueueDepthMeter()
-        meter.record(50.0, 1)
-        with pytest.raises(ValueError):
-            meter.time_weighted_mean(until=10.0)
-
-    def test_zero_duration_window_reports_instantaneous_depth(self):
-        # until == the first (and only) transition: the window is empty,
-        # so the mean degrades to the current depth instead of 0/0.
-        meter = QueueDepthMeter()
-        meter.record(50.0, 3)
-        assert meter.time_weighted_mean(until=50.0) == 3.0
-
-    def test_simultaneous_transitions_contribute_no_width(self):
-        # Two transitions at the same instant: the first holds for zero
-        # time and must not leak into the integral.
-        meter = QueueDepthMeter()
-        meter.record(0.0, 100)
-        meter.record(0.0, 2)
-        assert meter.max_depth == 100
-        assert meter.time_weighted_mean(until=10.0) == pytest.approx(2.0)
-
-    def test_zero_width_spike_mid_run_is_invisible_to_the_mean(self):
-        meter = QueueDepthMeter()
-        meter.record(0.0, 1)
-        meter.record(5.0, 50)   # spike...
-        meter.record(5.0, 1)    # ...gone within the same instant
-        assert meter.time_weighted_mean(until=10.0) == pytest.approx(1.0)
-        assert meter.max_depth == 50

@@ -106,12 +106,6 @@ class TestResourceHome:
         with pytest.raises(ResourceUnknownError):
             service.home.set_termination_time("ghost", 100.0)
 
-    def test_uncached_home(self, rig):
-        deployment, _, _ = rig
-        home = ResourceHome("raw", deployment.network, cached=False)
-        key = home.create(element("doc", "1"))
-        assert home.load(key).text() == "1"
-
 
 class TestAggregatePortTypes:
     def test_composed_class_gains_operations(self, rig):

@@ -122,36 +122,8 @@ class TestMemberLookup:
         assert keys == [entry.property(RESOURCE_ID)]
         assert group.entries_for_member("soap://nowhere/X") == []
 
-    def test_entries_for_member_indexed(self, rig):
-        _, group, client = rig
-        index = group.enable_index()
-        add_member(client, group, "soap://n1/App/Exec", element("{urn:giab}HostInfo", "n1"))
-        entry = add_member(client, group, "soap://n2/App/Exec", element("{urn:giab}HostInfo", "n2"))
-        # every Add maintained the index; the lookup runs off the posting list
-        assert index.lookup("soap://n2/App/Exec") != set()
-        assert group.entries_for_member("soap://n2/App/Exec") == [
-            entry.property(RESOURCE_ID)
-        ]
-
-    def test_indexed_lookup_cost_independent_of_group_size(self, rig):
-        deployment, group, client = rig
-        group.enable_index()
-        for i in range(20):
-            add_member(
-                client, group, f"soap://n{i:02d}/App/Exec",
-                element("{urn:giab}HostInfo", f"n{i:02d}"),
-            )
-        network = deployment.network
-        before = network.clock.now
-        group.entries_for_member("soap://n07/App/Exec")
-        indexed_cost = network.clock.now - before
-        # a scan pays per registered member; the posting list pays per hit
-        scan_floor = network.costs.db_query_per_doc * 20
-        assert indexed_cost < scan_floor + network.costs.db_query_indexed
-
     def test_remove_member(self, rig):
         _, group, client = rig
-        group.enable_index()
         add_member(client, group, "soap://n1/App/Exec", element("{urn:giab}HostInfo", "n1"))
         add_member(client, group, "soap://n2/App/Exec", element("{urn:giab}HostInfo", "n2"))
         assert group.remove_member("soap://n1/App/Exec") == 1

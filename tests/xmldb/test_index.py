@@ -13,11 +13,10 @@ from repro.sim import CostModel, Network
 from repro.xmldb import (
     Collection,
     IndexDefinitionError,
-    WriteThroughCache,
     XPathIndex,
     plan_query,
 )
-from repro.xmllib import element, ns, serialize
+from repro.xmllib import ns, serialize
 from repro.xmllib.element import XmlElement
 from repro.xmllib.xpath import compile_xpath, xpath_literal
 
@@ -145,14 +144,6 @@ class TestCollectionIndexes:
         assert coll.index_values("//g:Host", G) == ["n1", "n2"]
         with pytest.raises(KeyError):
             coll.index_values("//g:Application", G)
-
-    def test_cache_passthrough(self, net):
-        cache = WriteThroughCache(Collection("c", net))
-        index = cache.declare_index("//g:Host", G)
-        cache.insert(host_doc("n1", []), key="k")
-        cache.upsert("k", host_doc("n2", []))
-        assert index.lookup("n2") == {"k"}
-        assert cache.find_index("//g:Host", G) is index
 
 
 class TestQueryCosts:
