@@ -1,9 +1,11 @@
-"""Pure-Python WS-Security substrate.
+"""The WS-Security substrate.
 
 Implements the pieces Microsoft's WSE provided to the paper's testbed:
 RSA key generation (Miller-Rabin), PKCS#1 v1.5 signatures, X.509-style
 certificates with a small CA, and XML-DSig detached signatures computed over
-the exclusive canonical form from :mod:`repro.xmllib.c14n`.
+the exclusive canonical form from :mod:`repro.xmllib.c14n`.  All of it is
+Python, except that signing borrows OpenSSL's modular exponentiation from
+the interpreter's own libcrypto where it exports one (:mod:`repro.crypto.rsa`).
 
 Signatures are *real* — tampering with a signed message genuinely fails
 verification — while their virtual-time cost is charged from the calibrated

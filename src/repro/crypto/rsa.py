@@ -1,4 +1,4 @@
-"""RSA with PKCS#1 v1.5 signatures (pure Python).
+"""RSA with PKCS#1 v1.5 signatures.
 
 Only what WS-Security needs: keypair generation, ``sign``/``verify`` with
 EMSA-PKCS1-v1_5 encoding over SHA-1 (the 2004-era default) or SHA-256.
@@ -6,6 +6,16 @@ Signing uses the key's prime factors (the Chinese remainder theorem form
 of RSASP1, RFC 3447 §5.2.1): two half-size exponentiations that yield the
 same integer as the textbook ``m^d mod n``, so signatures are
 byte-identical to it.
+
+The two half-size exponentiations run in OpenSSL's ``BN_mod_exp``, bound
+once at import through ``ctypes`` from the libcrypto that the
+interpreter's own ``_hashlib`` extension links; no package is added and no
+library is searched for.  Where those symbols cannot be reached, built-in
+``pow`` computes them.  Garner's recombination and the public-exponent
+check run on built-in ``pow`` on either path, so ``sign`` returns no
+signature that independent arithmetic has not confirmed to be
+``m^d mod n``.  Verification, rebuilding keys and the prime search are pure
+Python.
 
 Keys are simulation keys, derived from seeds in the repository.  The primes
 of every ``(bits, seed)`` the repository uses are committed in
@@ -46,6 +56,90 @@ def _emsa_pkcs1_v15(message: bytes, em_len: int, hash_name: str) -> bytes:
         raise SignatureError("RSA modulus too small for this digest")
     padding = b"\xff" * (em_len - len(t) - 3)
     return b"\x00\x01" + padding + b"\x00" + t
+
+
+#: The largest modulus, in bytes, whose result fits the native path's
+#: output buffer (4096 bits: the CRT halves of an 8192-bit key).
+_NATIVE_MODULUS_BYTES = 512
+
+
+def _check_result(result, function, arguments):
+    """``errcheck`` for libcrypto: a NULL pointer, a 0 or a negative
+    count is a failure, never a value."""
+    if result is None or result <= 0:
+        raise RuntimeError(f"libcrypto {function.__name__} failed")
+    return result
+
+
+def _declare(function, restype, *argtypes):
+    """Give a libcrypto function its C signature; one that returns a value
+    has the value checked."""
+    function.restype, function.argtypes = restype, argtypes
+    if restype is not None:
+        function.errcheck = _check_result
+    return function
+
+
+def _bind_bn_mod_exp():
+    """``pow(base, exponent, modulus)`` for non-negative integers, computed
+    by OpenSSL's ``BN_mod_exp`` in the libcrypto that ``_hashlib`` links;
+    None where that library or one of its symbols cannot be reached.
+
+    Each call works in a fresh ``BN_CTX`` and frees every ``BIGNUM`` it
+    made, whatever happens.
+    """
+    try:
+        import ctypes
+
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        ptr, c_int = ctypes.c_void_p, ctypes.c_int
+        bn_ctx_new = _declare(lib.BN_CTX_new, ptr)
+        bn_ctx_free = _declare(lib.BN_CTX_free, None, ptr)
+        bn_new = _declare(lib.BN_new, ptr)
+        bn_clear_free = _declare(lib.BN_clear_free, None, ptr)
+        bn_bin2bn = _declare(lib.BN_bin2bn, ptr, ctypes.c_char_p, c_int, ptr)
+        bn_bn2binpad = _declare(lib.BN_bn2binpad, c_int, ptr, ctypes.c_char_p, c_int)
+        bn_mod_exp = _declare(lib.BN_mod_exp, c_int, ptr, ptr, ptr, ptr, ptr)
+    except (ImportError, OSError, AttributeError):
+        return None
+    # One array type for every call: ctypes keeps an array type only while
+    # something refers to it, so a per-call ``c_char * n`` (or
+    # ``create_string_buffer``) builds a new class each time, and a class is
+    # garbage that only the cyclic collector frees.
+    digits_type = ctypes.c_char * _NATIVE_MODULUS_BYTES
+
+    def to_bignum(value: int) -> int:
+        data = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        return bn_bin2bn(data, len(data), None)
+
+    def mod_exp(base: int, exponent: int, modulus: int) -> int:
+        size = (modulus.bit_length() + 7) // 8
+        if size > _NATIVE_MODULUS_BYTES:
+            return pow(base, exponent, modulus)
+        ctx = a = p = m = r = None
+        try:
+            ctx = bn_ctx_new()
+            a = to_bignum(base)
+            p = to_bignum(exponent)
+            m = to_bignum(modulus)
+            r = bn_new()
+            bn_mod_exp(r, a, p, m, ctx)
+            digits = digits_type()
+            bn_bn2binpad(r, digits, size)
+            return int.from_bytes(digits[:size], "big")
+        finally:
+            for bignum in (a, p, m, r):
+                bn_clear_free(bignum)
+            bn_ctx_free(ctx)
+
+    return mod_exp
+
+
+#: The CRT half-exponentiations of :meth:`RsaKeyPair.sign`: OpenSSL's where
+#: the interpreter's libcrypto exports it, else built-in ``pow``.
+_mod_exp = _bind_bn_mod_exp() or pow
 
 
 @dataclass(frozen=True)
@@ -162,17 +256,17 @@ class RsaKeyPair:
     def sign(self, message: bytes, hash_name: str = "sha1") -> bytes:
         """EMSA-PKCS1-v1_5 signature over ``message``.
 
-        ``m^d mod n`` is computed as one exponentiation modulo each prime,
-        joined by Garner's formula.  The result is checked against the
-        public exponent before it is returned: a wrong half would otherwise
-        publish a signature that reveals a factor of ``n`` (Boneh, DeMillo
-        and Lipton, 1997).
+        ``m^d mod n`` is computed as one exponentiation modulo each prime
+        (``_mod_exp``), joined by Garner's formula.  The result is checked
+        against the public exponent with built-in ``pow`` before it is
+        returned: a wrong half would otherwise publish a signature that
+        reveals a factor of ``n`` (Boneh, DeMillo and Lipton, 1997).
         """
         k = self.byte_length
         em = _emsa_pkcs1_v15(message, k, hash_name)
         m = int.from_bytes(em, "big")
-        s_q = pow(m, self.dq, self.q)
-        s = s_q + self.q * ((pow(m, self.dp, self.p) - s_q) * self.qinv % self.p)
+        s_q = _mod_exp(m, self.dq, self.q)
+        s = s_q + self.q * ((_mod_exp(m, self.dp, self.p) - s_q) * self.qinv % self.p)
         if pow(s, self.e, self.n) != m:
             raise SignatureError("CRT signature failed its public-exponent check")
         return s.to_bytes(k, "big")

@@ -451,7 +451,12 @@ class CostAccountingFilter(BaseFilter):
                 + costs.xml_parse_per_kb * ctx.response_message.n_kb,
                 "client.receive",
             )
-            ctx.response_envelope = ctx.response_message.parse()
+            # A reply that is not XML is the server's failure: the caller
+            # gets a Server fault, never a raw parser exception.
+            try:
+                ctx.response_envelope = ctx.response_message.parse()
+            except XmlParseError as exc:
+                raise SoapFault("Server", f"malformed response: {exc}") from exc
         elif ctx.role == NOTIFY:
             ctx.network.charge(
                 ctx.sink.delivery_overhead(costs)

@@ -157,15 +157,6 @@ class Collection:
         """The declared index covering ``path``, or None."""
         return find_index(path, prefixes, self.indexes.values())
 
-    def index_values(self, path: str, prefixes: dict[str, str] | None = None) -> list[str]:
-        """Distinct values of an indexed path — a covering read answered
-        from the index alone, at fixed ``db_query_indexed`` cost."""
-        index = self.find_index(path, prefixes)
-        if index is None:
-            raise KeyError(f"no index on {path!r} in collection {self.name!r}")
-        self._charge(self.network.costs.db_query_indexed)
-        return index.values()
-
     def _index_put(self, key: str, text: str) -> None:
         # Index the *stored* text, not the caller's tree: the backend copy
         # is the source of truth, and callers may mutate their document

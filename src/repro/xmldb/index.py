@@ -102,10 +102,6 @@ class XPathIndex:
         """Keys of documents where the indexed path takes ``value``."""
         return set(self._postings.get(value, ()))
 
-    def values(self) -> list[str]:
-        """Distinct live values — the covering read (no document access)."""
-        return sorted(self._postings)
-
     def __len__(self) -> int:
         return len(self._postings)
 

@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.container.security import Credentials
@@ -136,8 +136,62 @@ class TestSignatures:
             keypair.public.verify(m2, sig)
 
 
+class TestNativeModExp:
+    """OpenSSL's ``BN_mod_exp``, where it is bound, must equal built-in ``pow``."""
+
+    #: Odd moduli of every size up to 65 bits, then both sides of each
+    #: word and half-key boundary up to 1024 bits.
+    BITS = (*range(1, 66), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1023, 1024)
+
+    @pytest.fixture()
+    def native(self):
+        if rsa._mod_exp is pow:
+            pytest.skip("the interpreter's libcrypto does not export BN_mod_exp")
+        return rsa._mod_exp
+
+    def test_equals_builtin_pow(self, native):
+        rng = random.Random(24)
+        for bits in self.BITS:
+            modulus = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            bases = (
+                0, 1, 2, modulus - 1, modulus, modulus + 1,
+                rng.randrange(modulus), rng.randrange(modulus, modulus << 64),
+            )
+            exponents = (0, 1, 2, rng.getrandbits(bits))
+            for base in bases:
+                for exponent in exponents:
+                    expected = pow(base, exponent, modulus)
+                    assert native(base, exponent, modulus) == expected, (bits, base, exponent)
+
+    def test_modulus_past_the_buffer_falls_back_to_pow(self, native):
+        modulus = (1 << (8 * rsa._NATIVE_MODULUS_BYTES + 64)) - 1
+        base = 3 << (8 * rsa._NATIVE_MODULUS_BYTES)
+        assert native(base, 65537, modulus) == pow(base, 65537, modulus)
+
+    def test_native_path_is_bound_where_libcrypto_exports_it(self):
+        ctypes = pytest.importorskip("ctypes")
+        _hashlib = pytest.importorskip("_hashlib")
+        path = getattr(_hashlib, "__file__", None)
+        if path is None or not hasattr(ctypes.CDLL(path), "BN_mod_exp"):
+            pytest.skip("the interpreter's libcrypto does not export BN_mod_exp")
+        assert rsa._mod_exp is not pow
+
+    @pytest.mark.parametrize("failure", [None, 0, -1])
+    def test_a_null_zero_or_negative_return_raises(self, failure):
+        def BN_mod_exp():
+            pass
+
+        with pytest.raises(RuntimeError, match="BN_mod_exp failed"):
+            rsa._check_result(failure, BN_mod_exp, ())
+        assert rsa._check_result(1, BN_mod_exp, ()) == 1
+
+
 class TestCrtSigning:
-    """``sign`` works modulo each prime; it must equal the textbook formula."""
+    """``sign`` works modulo each prime; it must equal the textbook formula.
+
+    The half-exponentiations run on the module's binding: OpenSSL's
+    ``BN_mod_exp`` where the interpreter's libcrypto exports it.
+    """
 
     @pytest.mark.parametrize("seed", [7, 101, 201, 301])
     @pytest.mark.parametrize("hash_name", ["sha1", "sha256"])
@@ -146,8 +200,11 @@ class TestCrtSigning:
         message = f"<SignedInfo seed={seed}/>".encode()
         assert keypair.sign(message, hash_name) == textbook_sign(keypair, message, hash_name)
 
+    # Runs in this class and in its built-in-pow subclass, hence two executors.
     @given(st.binary(max_size=256), st.sampled_from(["sha1", "sha256"]))
-    @settings(max_examples=50, deadline=None)
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.differing_executors]
+    )
     def test_property_equals_textbook_signature(self, message, hash_name):
         keypair = RsaKeyPair.generate(bits=512, seed=42)
         assert keypair.sign(message, hash_name) == textbook_sign(keypair, message, hash_name)
@@ -182,6 +239,20 @@ class TestCrtSigning:
 
         monkeypatch.setattr(RsaPublicKey, "verify", verify)
         keypair.sign(b"m")
+
+
+class TestCrtSigningOnBuiltinPow(TestCrtSigning):
+    """The same checks with the half-exponentiations on built-in ``pow``,
+    the path wherever libcrypto's ``BN_mod_exp`` cannot be reached."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def builtin_pow(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rsa, "_mod_exp", pow)
+            yield
+
+    def test_runs_on_builtin_pow(self):
+        assert rsa._mod_exp is pow
 
 
 class TestPrivateMaterialStaysOutOfRepr:

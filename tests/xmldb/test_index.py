@@ -44,7 +44,6 @@ class TestXPathIndex:
         index.add("k2", host_doc("n2", ["sort"]))
         assert index.lookup("n1") == {"k1"}
         assert index.lookup("missing") == set()
-        assert index.values() == ["n1", "n2"]
 
     def test_multivalued_path(self):
         index = XPathIndex("//g:Application", G)
@@ -136,14 +135,6 @@ class TestCollectionIndexes:
         doc.find_local("Host").children = ["mutated"]
         assert index.lookup("n1") == {"k"}
         assert index.lookup("mutated") == set()
-
-    def test_index_values_covering_read(self, coll):
-        coll.declare_index("//g:Host", G)
-        for name in ("n2", "n1"):
-            coll.insert(host_doc(name, []), key=name)
-        assert coll.index_values("//g:Host", G) == ["n1", "n2"]
-        with pytest.raises(KeyError):
-            coll.index_values("//g:Application", G)
 
 
 class TestQueryCosts:
