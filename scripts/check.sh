@@ -4,7 +4,7 @@
 #
 #   scripts/check.sh              # run everything
 #   scripts/check.sh --soak      # also run the large conformance sweeps
-#   scripts/check.sh --lint-only # just repro-lint + the report gate (pre-commit)
+#   scripts/check.sh --lint-only # just repro-lint against the baseline (pre-commit)
 #   scripts/check.sh tests/sim   # pass extra args through to pytest
 #
 # Exits non-zero if any stage fails.
@@ -29,8 +29,8 @@ fi
 status=0
 
 if [ "$lint_only" = 1 ]; then
-    echo "== repro-lint (report gate) =="
-    python -m repro.analysis --fail-on-new results/lint_report.json || status=1
+    echo "== repro-lint =="
+    python -m repro.analysis || status=1
     exit $status
 fi
 
@@ -43,9 +43,8 @@ if [ "$soak" = 1 ]; then
 fi
 
 echo "== repro-lint =="
-# Any finding not in the committed report (even a baselined one) fails;
-# regenerate with: python -m repro.analysis --format json --out results/lint_report.json
-python -m repro.analysis --fail-on-new results/lint_report.json || status=1
+# Any finding outside the justified lint-baseline.json fails.
+python -m repro.analysis || status=1
 
 echo "== conformance =="
 if [ "$soak" = 1 ]; then
@@ -71,9 +70,10 @@ python -m repro experiments --smoke || status=1
 
 echo "== experiments regression gate =="
 # Re-measure experiment grids and compare against the committed records:
-# exact-gate specs must match bit-identically (ordering flips, invariant
-# violations and any drift all fail); the shape-gate spec (msgperf,
-# wall-clock) must keep the record's numeric leaves and its invariants.
+# exact-gate specs must match bit-identically (structural changes,
+# invariant violations and any drift all fail); the shape-gate spec
+# (msgperf, wall-clock) must keep the record's numeric leaves and its
+# invariants.
 # loadgen re-runs the kernel's concurrent schedule, datagrid the declared
 # services, trace_spans the Figure-1 span trees and xmldb_scaling the
 # index planner.  --check-docs additionally fails when EXPERIMENTS.md is

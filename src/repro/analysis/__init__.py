@@ -9,7 +9,9 @@ aggressive refactors cannot silently break them.
 
 Entry points:
 
-* ``python -m repro.analysis [--json] [--baseline FILE] [paths...]``
+* ``python -m repro.analysis [--format json] [--baseline FILE] [paths...]``
+  — from the repository root it loads ``lint-baseline.json`` and exits 1
+  on any finding outside it (the CI lint gate)
 * the ``repro-lint`` console script
 * :func:`repro.analysis.engine.run_analysis` for programmatic use
 

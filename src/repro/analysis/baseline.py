@@ -19,14 +19,10 @@ Matching is by the *normalized* (rule, path, symbol, message) tuple —
 whitespace collapsed, digit runs replaced by ``#`` — so entries survive
 line-number drift, message reflows, and count changes ("after 3
 attempts" vs "after 5 attempts"), but are invalidated the moment the
-code changes what the finding actually says.  A stale suppression fails
-the run instead of rotting.  Every entry must carry a non-empty
-``justification``.
-
-Version-1 documents (exact-message matching) still load: their entries
-are re-keyed by the normalized fingerprint on the fly, and saving any
-baseline writes version 2 — so ``--write-baseline`` over an old file is
-the migration.
+code changes what the finding actually says.  Every entry must carry a
+non-empty ``justification``.  The committed ``lint-baseline.json`` is the
+one inventory of accepted findings: a finding outside it fails the
+linter, and an entry no finding matches fails the tier-1 self-clean test.
 """
 
 from __future__ import annotations
@@ -37,9 +33,6 @@ from dataclasses import dataclass, field
 from repro.analysis.findings import Finding
 
 BASELINE_VERSION = 2
-
-#: Document versions ``load`` accepts; anything else is an error.
-SUPPORTED_VERSIONS = (1, 2)
 
 #: The file the CLI auto-loads from the working directory when --baseline
 #: is not given (kept at the repository root).
@@ -56,10 +49,6 @@ class Baseline:
 
     entries: dict[str, dict] = field(default_factory=dict)
     path: str = ""
-    #: Version of the document this baseline was loaded from (or the
-    #: current version for fresh baselines); saving always writes the
-    #: current version.
-    loaded_version: int = BASELINE_VERSION
 
     def covers(self, finding: Finding) -> bool:
         return finding.normalized_fingerprint in self.entries
@@ -90,11 +79,9 @@ class Baseline:
     def load(cls, path: str) -> "Baseline":
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-        if not isinstance(document, dict) or document.get("version") not in SUPPORTED_VERSIONS:
-            raise BaselineError(
-                f"{path}: not a version-{'/'.join(map(str, SUPPORTED_VERSIONS))} baseline"
-            )
-        baseline = cls(path=path, loaded_version=document["version"])
+        if not isinstance(document, dict) or document.get("version") != BASELINE_VERSION:
+            raise BaselineError(f"{path}: not a version-{BASELINE_VERSION} baseline")
+        baseline = cls(path=path)
         for index, entry in enumerate(document.get("entries", [])):
             missing = {"rule", "path", "symbol", "message"} - set(entry)
             if missing:
@@ -112,8 +99,6 @@ class Baseline:
                 symbol=entry["symbol"],
                 message=entry["message"],
             )
-            # v1 entries carried exact messages; the normalized key makes
-            # them match the same findings they always did, plus reflows.
             baseline.entries[shadow.normalized_fingerprint] = dict(entry)
         return baseline
 
@@ -136,4 +121,3 @@ class Baseline:
             json.dump(document, handle, indent=2, sort_keys=False)
             handle.write("\n")
         self.path = path
-        self.loaded_version = BASELINE_VERSION

@@ -1,24 +1,19 @@
 """The ``repro-lint`` command line.
 
 Exit codes: 0 — clean (or every finding baselined); 1 — new findings or
-unparsable files (or findings not in the ``--fail-on-new`` report);
-2 — usage/configuration errors (bad baseline or report, missing paths).
+unparsable files; 2 — usage/configuration errors (bad baseline, missing
+paths).  Run from the repository root, it loads ``lint-baseline.json``,
+so ``python -m repro.analysis`` is the CI lint gate.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineError,
-)
+from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.engine import run_analysis
-from repro.analysis.findings import Finding
 from repro.analysis.registry import rule_table
 from repro.analysis.reporters import render_json, render_text
 
@@ -37,28 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         choices=("text", "json"),
-        default=None,
-        dest="format",
+        default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the JSON report (same as --format json)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="write the report to FILE (parent directories are created); "
-        "stdout then carries only the summary line",
-    )
-    parser.add_argument(
-        "--fail-on-new",
-        metavar="REPORT",
-        default=None,
-        help="also exit 1 if any finding (new or baselined) is absent from "
-        "this committed JSON report — the check.sh regression gate",
     )
     parser.add_argument(
         "--baseline",
@@ -136,70 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    use_json = args.json or args.format == "json"
-    report = (
-        render_json(result)
-        if use_json
-        else render_text(result, show_baselined=args.show_baselined)
-    )
-
-    if args.out is not None:
-        parent = os.path.dirname(args.out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report)
-            handle.write("\n")
-        new = len(result.findings) + len(result.parse_failures)
-        print(
-            f"repro-lint: {result.files_scanned} files, {new} new, "
-            f"{len(result.baselined)} baselined -> {args.out}"
-        )
+    if args.format == "json":
+        print(render_json(result))
     else:
-        print(report)
-
-    exit_code = result.exit_code
-    if args.fail_on_new is not None:
-        try:
-            novel = _novel_versus_report(result, args.fail_on_new)
-        except (OSError, ValueError) as exc:
-            print(f"repro-lint: cannot load report: {exc}", file=sys.stderr)
-            return 2
-        for finding in novel:
-            print(f"repro-lint: not in {args.fail_on_new}: {finding.render()}")
-        if novel:
-            exit_code = max(exit_code, 1)
-    return exit_code
-
-
-def _novel_versus_report(result, report_path: str) -> list:
-    """Findings of this run absent from the committed JSON report.
-
-    Both new and baselined findings count: the committed report is the
-    reviewed inventory, and anything outside it — even if a (possibly
-    stale) baseline covers it — should fail the gate until the report is
-    regenerated and committed.
-    """
-    with open(report_path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    known = set()
-    for entry in document.get("findings", []):
-        normalized = entry.get("normalized_fingerprint")
-        if normalized is None:
-            # Version-1 reports predate the field; recompute it.
-            normalized = Finding(
-                rule=entry["rule"],
-                path=entry["path"],
-                line=0,
-                col=0,
-                symbol=entry["symbol"],
-                message=entry["message"],
-            ).normalized_fingerprint
-        known.add(normalized)
-    return [
-        finding
-        for finding in sorted(
-            result.findings + result.baselined, key=lambda f: f.sort_key()
-        )
-        if finding.normalized_fingerprint not in known
-    ]
+        print(render_text(result, show_baselined=args.show_baselined))
+    return result.exit_code

@@ -48,10 +48,6 @@ class AnalysisResult:
     parse_failures: list[tuple[str, str]] = field(default_factory=list)
 
     @property
-    def new_findings(self) -> list[Finding]:
-        return self.findings
-
-    @property
     def exit_code(self) -> int:
         return 1 if self.findings or self.parse_failures else 0
 

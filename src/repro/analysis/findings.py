@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Finding severities, in increasing order of concern.  Both count toward
 #: the exit code; the split exists so reporters can rank output.
@@ -77,11 +77,3 @@ def normalize_message(message: str) -> str:
     that embed counts ('after 3 attempts') fingerprint stably."""
     collapsed = re.sub(r"\s+", " ", message).strip()
     return re.sub(r"\d+", "#", collapsed)
-
-
-@dataclass
-class FileReport:
-    """All findings produced for one file (kept for reporters/tests)."""
-
-    path: str
-    findings: list[Finding] = field(default_factory=list)

@@ -21,8 +21,9 @@ by the tier-1 tests::
       ]
     }
 
-Version 2 added ``normalized_fingerprint`` (the baseline-v2 identity);
-``scripts/check.sh`` diffs committed vs. fresh reports by that key.
+``normalized_fingerprint`` is the key ``lint-baseline.json`` entries
+match on.  The report is printed, never committed: the baseline is the
+one stored inventory of accepted findings.
 """
 
 from __future__ import annotations

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 from repro.apps.counter.clients import TransferCounterClient, WsrfCounterClient
 from repro.apps.counter.transfer_service import TransferCounterService
 from repro.apps.counter.wsrf_service import WsrfCounterService
-from repro.container.client import SoapClient
 from repro.container.deployment import Deployment
 from repro.container.security import SecurityMode, SecurityPolicy
 from repro.crypto.x509 import CertificateAuthority
 from repro.eventing.delivery import EventingConsumer
 from repro.eventing.manager import EventSubscriptionManagerService
 from repro.eventing.store import FlatFileSubscriptionStore
-from repro.reliable import ReliableChannel, ReliableNotifier, RetryPolicy
+from repro.reliable import ReliableNotifier, RetryPolicy
 from repro.sim.costs import CostModel
 from repro.wsn.base import NotificationConsumer, SubscriptionManagerService
 from repro.wsrf.resource import ResourceHome
@@ -86,13 +85,6 @@ def _base_deployment(scenario: CounterScenario) -> Deployment:
     return deployment
 
 
-def _client_soap(deployment: Deployment, host: str, credentials):
-    soap = SoapClient(deployment, host, credentials)
-    if deployment.reliability is not None:
-        return ReliableChannel(soap, deployment.reliability, deployment.dead_letters)
-    return soap
-
-
 def build_wsrf_rig(scenario: CounterScenario) -> WsrfCounterRig:
     deployment = _base_deployment(scenario)
     creds = deployment.issue_credentials("wsrf-container", seed=101)
@@ -105,7 +97,7 @@ def build_wsrf_rig(scenario: CounterScenario) -> WsrfCounterRig:
         service.reliable_deliverer = ReliableNotifier(deployment, scenario.reliability)
     container.add_service(service)
     client_creds = deployment.issue_credentials("counter-client", seed=102)
-    soap = _client_soap(deployment, scenario.client_host, client_creds)
+    soap = deployment.soap_client(scenario.client_host, client_creds)
     # "WSRF.NET uses a custom HTTP server that clients include."
     consumer = NotificationConsumer(deployment, scenario.client_host, kind="http-server")
     return WsrfCounterRig(
@@ -126,7 +118,7 @@ def build_transfer_rig(scenario: CounterScenario) -> TransferCounterRig:
         )
     container.add_service(service)
     client_creds = deployment.issue_credentials("counter-client", seed=104)
-    soap = _client_soap(deployment, scenario.client_host, client_creds)
+    soap = deployment.soap_client(scenario.client_host, client_creds)
     # "Plumbwork Orange uses a WSE SoapReceiver to handle notifications via TCP."
     consumer = EventingConsumer(deployment, scenario.client_host)
     return TransferCounterRig(

@@ -26,7 +26,6 @@ from repro.apps.datagrid.services import (
     WsrfReplicaCatalogClient,
     WsrfReplicaCatalogService,
 )
-from repro.container.client import SoapClient
 from repro.container.deployment import Deployment
 from repro.container.security import SecurityPolicy
 from repro.crypto.x509 import CertificateAuthority
@@ -95,7 +94,7 @@ def build_wsrf_datagrid(scenario: CounterScenario) -> DatagridRig:
     port.bind(transfer_service, catalog_service.address)
 
     client_creds = deployment.issue_credentials("datagrid-client", seed=142)
-    soap = SoapClient(deployment, scenario.client_host, client_creds)
+    soap = deployment.soap_client(scenario.client_host, client_creds)
     return DatagridRig(
         deployment,
         catalog_service,
@@ -128,7 +127,7 @@ def build_transfer_datagrid(scenario: CounterScenario) -> DatagridRig:
     port.bind(transfer_service, catalog_service.address)
 
     client_creds = deployment.issue_credentials("datagrid-client", seed=144)
-    soap = SoapClient(deployment, scenario.client_host, client_creds)
+    soap = deployment.soap_client(scenario.client_host, client_creds)
     return DatagridRig(
         deployment,
         catalog_service,

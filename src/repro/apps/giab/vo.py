@@ -30,14 +30,13 @@ from repro.apps.giab.wsrf import (
     WsrfReservationService,
     WsrfResourceAllocationService,
 )
-from repro.container.client import SoapClient
 from repro.container.deployment import Deployment
 from repro.container.security import SecurityMode, SecurityPolicy
 from repro.crypto.x509 import CertificateAuthority
 from repro.eventing.delivery import EventingConsumer
 from repro.eventing.manager import EventSubscriptionManagerService
 from repro.eventing.store import FlatFileSubscriptionStore
-from repro.reliable import ReliableChannel, ReliableNotifier, RetryPolicy
+from repro.reliable import ReliableNotifier, RetryPolicy
 from repro.sim.costs import CostModel
 from repro.wsn.base import NotificationConsumer, SubscriptionManagerService
 from repro.wsrf.resource import ResourceHome
@@ -98,16 +97,6 @@ def _deployment(
     return deployment
 
 
-def _client_soap(
-    deployment: Deployment, host: str, credentials
-) -> SoapClient | ReliableChannel:
-    """A user-facing proxy, reliable when the deployment says so."""
-    soap = SoapClient(deployment, host, credentials)
-    if deployment.reliability is not None:
-        return ReliableChannel(soap, deployment.reliability, deployment.dead_letters)
-    return soap
-
-
 def build_wsrf_vo(
     mode: SecurityMode = SecurityMode.X509,
     costs: CostModel | None = None,
@@ -165,11 +154,11 @@ def build_wsrf_vo(
         container.add_service(exec_service)
         nodes[node_name] = NodePair(exec_service, data)
 
-    admin_soap = _client_soap(deployment, ADMIN_HOST, admin_creds)
+    admin_soap = deployment.soap_client(ADMIN_HOST, admin_creds)
     admin = WsrfGridAdmin(admin_soap, account.address, allocation.address)
 
     user_creds = deployment.issue_credentials(USER_CN, seed=203)
-    user_soap = _client_soap(deployment, CLIENT_HOST, user_creds)
+    user_soap = deployment.soap_client(CLIENT_HOST, user_creds)
     client = WsrfGridClient(user_soap, allocation.address, reservation.address)
     consumer = NotificationConsumer(deployment, CLIENT_HOST, kind="http-server")
 
@@ -237,11 +226,11 @@ def build_transfer_vo(
         container.add_service(exec_service)
         nodes[node_name] = NodePair(exec_service, data)
 
-    admin_soap = _client_soap(deployment, ADMIN_HOST, admin_creds)
+    admin_soap = deployment.soap_client(ADMIN_HOST, admin_creds)
     admin = TransferGridAdmin(admin_soap, account.address, allocation.address)
 
     user_creds = deployment.issue_credentials(USER_CN, seed=303)
-    user_soap = _client_soap(deployment, CLIENT_HOST, user_creds)
+    user_soap = deployment.soap_client(CLIENT_HOST, user_creds)
     user_dn = str(user_creds.subject)
     client = TransferGridClient(user_soap, allocation.address, user_dn)
     consumer = EventingConsumer(deployment, CLIENT_HOST)

@@ -23,6 +23,7 @@ from repro.soap.message import WireMessage
 if TYPE_CHECKING:  # pragma: no cover
     from repro.container.client import SoapClient
     from repro.container.deployment import Deployment
+    from repro.reliable.channel import ReliableChannel
 
 
 class Container:
@@ -62,17 +63,8 @@ class Container:
         self.deployment.register_endpoint(address, self.host, self)
         return address
 
-    def outcall_client(self) -> "SoapClient":
-        from repro.container.client import SoapClient
-
-        client = SoapClient(self.deployment, self.host, self.credentials)
-        if self.deployment.reliability is not None:
-            from repro.reliable.channel import ReliableChannel
-
-            return ReliableChannel(
-                client, self.deployment.reliability, self.deployment.dead_letters
-            )
-        return client
+    def outcall_client(self) -> "SoapClient | ReliableChannel":
+        return self.deployment.soap_client(self.host, self.credentials)
 
     # -- request processing -------------------------------------------------------
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.container.client import SoapClient
 from repro.container.container import Container
 from repro.container.security import Credentials, SecurityPolicy
 from repro.crypto.x509 import Certificate, CertificateAuthority
 from repro.pipeline import FilterChain, PipelineContext, SecurityFilter
+from repro.reliable.channel import ReliableChannel
 from repro.reliable.deadletter import DeadLetterLog
 from repro.reliable.policy import RetryPolicy
 from repro.sim.costs import CostModel
@@ -71,7 +73,8 @@ class Deployment:
         self._endpoints: dict[str, tuple[Host, Container]] = {}
         self._sinks: dict[str, NotificationSink] = {}
         self._sink_counter = 0
-        #: When set, container out-calls are wrapped in a
+        #: When set, every client proxy :meth:`soap_client` builds (user
+        #: clients and container out-calls) is wrapped in a
         #: :class:`~repro.reliable.channel.ReliableChannel` with this policy.
         self.reliability: RetryPolicy | None = None
         #: Shared terminal record for undeliverable messages.
@@ -86,6 +89,15 @@ class Deployment:
         trust directory.
         """
         return FilterChain.standard(self.security_filter)
+
+    def soap_client(
+        self, host: Host | str, credentials: Credentials | None = None
+    ) -> SoapClient | ReliableChannel:
+        """A client proxy on ``host``, reliable when :attr:`reliability` is set."""
+        client = SoapClient(self, host, credentials)
+        if self.reliability is not None:
+            return ReliableChannel(client, self.reliability, self.dead_letters)
+        return client
 
     # -- topology -----------------------------------------------------------
 

@@ -5,11 +5,12 @@ axes, its measurement callable and its shape invariants; the engine
 (:class:`~repro.experiments.engine.ExperimentEngine`) expands the grid,
 runs cells deterministically (seeded, in grid order) and consolidates
 them into one unified record schema
-(:class:`~repro.experiments.schema.RunRecord`) that every published
-artifact — ``results/*.csv``, ``BENCH_*.json``, EXPERIMENTS.md — renders
-from.  The gates (:mod:`~repro.experiments.gates`) diff fresh runs
-against the recorded trajectory: invariant violations, ordering flips and
-virtual-cost drift all fail ``python -m repro experiments --check``.
+(:class:`~repro.experiments.schema.RunRecord`), committed once under
+``results/experiments/``; the figure tables (``results/*.csv``) and
+EXPERIMENTS.md render from it.  The gates
+(:mod:`~repro.experiments.gates`) diff fresh runs against the recorded
+trajectory: structural changes, invariant violations and virtual-cost
+drift all fail ``python -m repro experiments --check``.
 """
 
 from repro.experiments.engine import EngineError, ExperimentEngine, run_in_memory
@@ -19,7 +20,6 @@ from repro.experiments.gates import (
     check_artifacts,
     find_drift,
     find_leaf_changes,
-    find_ordering_flips,
 )
 from repro.experiments.schema import (
     SCHEMA_VERSION,
@@ -60,7 +60,6 @@ __all__ = [
     "evaluate_invariants",
     "find_drift",
     "find_leaf_changes",
-    "find_ordering_flips",
     "make_record",
     "numeric_leaves",
     "run_in_memory",

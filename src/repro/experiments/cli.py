@@ -4,10 +4,10 @@ Modes (combinable where it makes sense):
 
 * ``--list``            — every spec: grid size, gate kind, smoke flag.
 * ``--run NAME...``     — run grids (``all`` = every spec), write records
-                          + artifacts.
+                          + figure CSVs.
 * ``--check [NAME...]`` — fresh in-memory runs gated against the
-                          committed records (invariants, ordering flips,
-                          drift, artifact staleness).
+                          committed records (structure, invariants,
+                          drift, figure-CSV staleness).
 * ``--smoke``           — the CI quick gate: ``--check`` over the smoke
                           subset only.
 * ``--soak``            — the full-grid gate: ``--check`` over every spec.

@@ -136,15 +136,15 @@ halved); that sensitivity is pinned by its own test in
 Per-stage breakdown of one signed distributed Get per stack, from the
 pipeline's TracingFilter — the Figure 1 stages made measurable.  The four
 security-bearing stages outweigh pure wire time (the paper's signing
-observation, visible inside a single message).  Full span trees for Get
-and Notify are published as `results/trace_spans_x509.{csv,json}`.""",
+observation, visible inside a single message).  The full span trees for
+Get and Notify are each cell's `get_tree` and `notify_tree` in
+`results/experiments/trace_spans.json`.""",
     "xmldb_scaling": """\
 Registry sizes 10/100/1000/5000 HostInfo documents: the scan path charges
 the pinned `db_query_base + per_doc × N` formula, the declared secondary
 index answers the same lookup O(hits) (flat across sizes, ≥ 10× cheaper
 at 1000 docs), and an expression no index covers reproduces the scan
-curve bit-identically — the planner's fallback guarantee.  Also published
-as `results/xmldb_scaling.{csv,json}`.""",
+curve bit-identically — the planner's fallback guarantee.""",
     "datagrid": """\
 A fixed replica-staging workload (3 registrations, 2 replications, 2
 stage-ins, catalog queries) through the ReplicaCatalog/DataTransfer pair
@@ -156,15 +156,16 @@ messages, and leaves an identical catalog — the layered framework's
 shared logic made benchmark-visible.  The security ordering matches the
 hello-world figures (X.509 ≫ HTTPS > none), and the stacks sit within
 0.5% of each other because the declared workload is
-message-count-symmetric.  Committed as `results/BENCH_datagrid.json`;
-the differential fuzzer also sweeps seeded `datagrid` programs across all
-six cells (`python -m repro conformance`, seeds 200000+).""",
+message-count-symmetric.  Each cell's full payload is committed in
+`results/experiments/datagrid.json`; the differential fuzzer also sweeps
+seeded `datagrid` programs across all six cells (`python -m repro
+conformance`, seeds 200000+).""",
     "loadgen": """\
 Open-loop Poisson arrivals against the discrete-event kernel (DESIGN.md
 §16), 60 requests per point, X.509 distributed: p95 latency grows
 superlinearly with offered load, throughput saturates at the top swept
 rate, and queue depth rises — the committed trajectory is
-`results/BENCH_loadgen.json`.""",
+`results/experiments/loadgen.json`.""",
     "msgperf": """\
 The one wall-clock experiment (gate: shape): real elapsed time of the
 signed message path with the memoization layer on vs off.  The recorded
@@ -173,7 +174,7 @@ record; it checks that no numeric leaf appeared or vanished and re-checks
 the invariants — the soak speedup floor, bit-identical virtual costs with
 caching on/off, and cache hit counters (the signature caches may miss
 only during the warm-up).  The committed trajectory is
-`results/BENCH_msgperf.json`.""",
+`results/experiments/msgperf.json`.""",
 }
 
 HEADER = """\
@@ -193,12 +194,12 @@ This file is **generated** from the recorded experiment runs in
 `repro.experiments.docgen`, never this file.  Regenerate with:
 
 ```sh
-python -m repro experiments --run all   # re-measure, refresh records + artifacts
+python -m repro experiments --run all   # re-measure, refresh records + figure CSVs
 python -m repro experiments --docs      # re-render this file from the records
 ```
 
 `python -m repro experiments --check` re-runs every grid and gates it
-against the records (orderings, invariants, bit-identical virtual costs);
+against the records (structure, invariants, bit-identical virtual costs);
 `scripts/check.sh` wires the smoke subset into CI.  All virtual-clock
 numbers below are deterministic: re-running reproduces them exactly.
 

@@ -3,9 +3,9 @@
 Cells run in grid order (outer axes slowest), each with a seed derived
 from the spec's base seed and the cell id.  A completed grid is
 consolidated into ``<results>/experiments/<spec>.json`` (the unified
-:mod:`~repro.experiments.schema` record) and the spec's published
-artifacts (``results/*.csv``, ``BENCH_*.json``) are rewritten from the
-record — the record is the single source every number flows through.
+:mod:`~repro.experiments.schema` record) and the spec's figure tables
+(``results/*.csv``) are rewritten from the record — the record is the
+single source every number flows through.
 A run is all or nothing: the whole registry re-measures in seconds, so
 an interrupted run is simply run again.
 """

@@ -1,6 +1,6 @@
 """Regression gates: fresh numbers vs the recorded trajectory.
 
-Four failure classes, in the order they are reported:
+Three failure classes, in the order they are reported:
 
 * **structural problems** — the grid contract (spec fingerprint) moved,
   cells went missing or appeared, or a numeric leaf appeared in or
@@ -8,15 +8,13 @@ Four failure classes, in the order they are reported:
 * **invariant violations** — the spec's declared shape claims
   (x509 > https > none, distributed > colocated, Create slowest, …)
   no longer hold on the fresh run;
-* **ordering flips** — for any numeric metric path, two cells whose
-  recorded values were strictly ordered now order the other way (reported
-  apart from drift because it names the ordering that broke);
 * **cost drift** — a numeric leaf changed at all: virtual-clock numbers
-  must match the record bit for bit.
+  must match the record bit for bit, so a reversed cross-cell ordering
+  is drift in each leaf that moved.
 
-Specs gated ``shape`` (wall-clock benches) skip drift and ordering —
-their absolute numbers are machine-dependent — and are judged on
-structure and invariants alone.
+Specs gated ``shape`` (wall-clock benches) skip drift — their absolute
+numbers are machine-dependent — and are judged on structure and
+invariants alone.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ class GateReport:
 
     spec: str
     invariant_violations: list[str] = field(default_factory=list)
-    ordering_flips: list[str] = field(default_factory=list)
     drift_violations: list[str] = field(default_factory=list)
     structural_problems: list[str] = field(default_factory=list)
 
@@ -41,7 +38,6 @@ class GateReport:
     def ok(self) -> bool:
         return not (
             self.invariant_violations
-            or self.ordering_flips
             or self.drift_violations
             or self.structural_problems
         )
@@ -51,7 +47,6 @@ class GateReport:
         for label, problems in (
             ("structural", self.structural_problems),
             ("invariant", self.invariant_violations),
-            ("ordering flip", self.ordering_flips),
             ("drift", self.drift_violations),
         ):
             out.extend(f"{self.spec}: {label}: {problem}" for problem in problems)
@@ -60,43 +55,6 @@ class GateReport:
 
 def _leaves_by_cell(record: RunRecord) -> dict[str, dict[str, float]]:
     return {cell.cell_id: numeric_leaves(cell.values) for cell in record.cells}
-
-
-def find_ordering_flips(
-    recorded: RunRecord, fresh: RunRecord
-) -> list[str]:
-    """Strict cross-cell orderings in ``recorded`` that reversed in ``fresh``.
-
-    For every metric path, each cell pair the recorded run ordered
-    strictly must not order strictly the other way now; ties (either
-    then or now) are not flips.
-    """
-    rec = _leaves_by_cell(recorded)
-    new = _leaves_by_cell(fresh)
-    flips: list[str] = []
-    cell_ids = [c for c in recorded.cell_ids() if c in new]
-    paths: set[str] = set()
-    for cell_id in cell_ids:
-        paths.update(rec[cell_id])
-    for path in sorted(paths):
-        holders = [
-            c for c in cell_ids if path in rec[c] and path in new[c]
-        ]
-        for i, a in enumerate(holders):
-            for b in holders[i + 1:]:
-                was = rec[a][path] - rec[b][path]
-                now = new[a][path] - new[b][path]
-                if was > 0 and now < 0:
-                    flips.append(
-                        f"{path}: {a} ({rec[a][path]:g}→{new[a][path]:g}) was above "
-                        f"{b} ({rec[b][path]:g}→{new[b][path]:g}), now below"
-                    )
-                elif was < 0 and now > 0:
-                    flips.append(
-                        f"{path}: {a} ({rec[a][path]:g}→{new[a][path]:g}) was below "
-                        f"{b} ({rec[b][path]:g}→{new[b][path]:g}), now above"
-                    )
-    return flips
 
 
 def find_leaf_changes(recorded: RunRecord, fresh: RunRecord) -> list[str]:
@@ -152,7 +110,6 @@ def check_against_record(
     report.structural_problems.extend(find_leaf_changes(recorded, fresh))
     report.invariant_violations = evaluate_invariants(spec, fresh)
     if spec.gate == "exact":
-        report.ordering_flips = find_ordering_flips(recorded, fresh)
         report.drift_violations = find_drift(recorded, fresh)
     return report
 
@@ -162,8 +119,8 @@ def check_artifacts(
 ) -> list[str]:
     """Committed artifact files that differ from what ``record`` renders.
 
-    The staleness gate: every ``results/*.csv`` / ``BENCH_*.json`` a spec
-    publishes must be exactly what its committed record produces.
+    The staleness gate: every ``results/*.csv`` a spec publishes must be
+    exactly what its committed record produces.
     """
     import os
 

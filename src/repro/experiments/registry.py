@@ -3,10 +3,10 @@
 One entry per paper figure or extension sweep: the axes it sweeps, the
 measurement behind one cell, the shape invariants the paper claims, and
 how the recorded cells render back into the committed ``results/*.csv``
-/ ``BENCH_*.json`` artifacts.  ``python -m repro experiments`` runs,
-prints and gates them; ``scripts/check.sh`` gates fresh runs against
-the records.  Claims that span specs or need a modified cost model live
-in ``tests/bench/test_paper_claims.py``.
+figure tables.  ``python -m repro experiments`` runs, prints and gates
+them; ``scripts/check.sh`` gates fresh runs against the records.
+Claims that span specs or need a modified cost model live in
+``tests/bench/test_paper_claims.py``.
 
 Figure builders always impose explicit row/column orders — cell payloads
 round-trip through sorted-key JSON, so insertion order is *not*
@@ -1005,34 +1005,6 @@ def _trace_figure(record: RunRecord) -> dict:
     }
 
 
-def _span_dict_rows(label: str, node: dict, depth: int, lines: list[str]) -> None:
-    lines.append(
-        f"{label},{depth},{node['name']},{node['started_at']:.3f},"
-        f"{node['ended_at']:.3f},{node['elapsed_ms']:.3f},{node.get('detail', '')}"
-    )
-    for child in node["children"]:
-        _span_dict_rows(label, child, depth + 1, lines)
-
-
-def _trace_artifacts(record: RunRecord) -> dict[str, str]:
-    import json
-
-    lines = ["series,depth,span,started_at,ended_at,elapsed_ms,detail"]
-    trees: dict[str, dict] = {}
-    for cell in record.cells:
-        label = _STACK_LABELS[cell.params["stack"]]
-        trees[label] = {
-            "Get": cell.values["get_tree"],
-            "Notify": cell.values["notify_tree"],
-        }
-        for op in ("Get", "Notify"):
-            _span_dict_rows(f"{label}/{op}", trees[label][op], 0, lines)
-    return {
-        "trace_spans_x509.csv": "\n".join(lines) + "\n",
-        "trace_spans_x509.json": json.dumps(trees, indent=2, sort_keys=True),
-    }
-
-
 def _span_names(node: dict) -> set[str]:
     names = {node["name"]}
     for child in node["children"]:
@@ -1072,7 +1044,6 @@ TRACE_SPANS = ExperimentSpec(
         Predicate("trace_claims", "stage coverage, partition and security weight", fn=_trace_claims),
     ),
     to_figure=_trace_figure,
-    extra_artifacts=_trace_artifacts,
     config={"mode": "x509", "stages": list(TRACE_STAGES)},
     source="repro.bench.trace.trace_round_trip",
 )
@@ -1121,18 +1092,6 @@ def _xmldb_figure(record: RunRecord) -> dict:
     }
 
 
-def _xmldb_artifacts(record: RunRecord) -> dict[str, str]:
-    import json
-
-    from repro.bench.report import figure_to_csv
-
-    table = _xmldb_figure(record)
-    return {
-        "xmldb_scaling.csv": figure_to_csv(table),
-        "xmldb_scaling.json": json.dumps(table, indent=2, sort_keys=True) + "\n",
-    }
-
-
 def _xmldb_claims(record: RunRecord) -> list[str]:
     from repro.bench.xmldb import scan_cost_model
 
@@ -1163,7 +1122,6 @@ XMLDB_SCALING = ExperimentSpec(
         Predicate("xmldb_claims", "cost formula, flat index and planner fallback", fn=_xmldb_claims),
     ),
     to_figure=_xmldb_figure,
-    extra_artifacts=_xmldb_artifacts,
     source="repro.bench.xmldb.query_cost",
 )
 
@@ -1184,8 +1142,8 @@ def _measure_datagrid(params: dict, seed: int) -> dict:
 
 
 def _datagrid_cells(record: RunRecord) -> dict[str, dict[str, dict]]:
-    """Record cells regrouped as the legacy ``cells`` nesting, in the
-    ``DatagridScenario.all_six()`` row order."""
+    """Record cells grouped per placement/mode label, then per stack, in
+    the ``DatagridScenario.all_six()`` row order."""
     cells: dict[str, dict[str, dict]] = {}
     for mode in _MODES:
         for placement in ("co-located", "distributed"):
@@ -1204,13 +1162,6 @@ def _datagrid_figure(record: RunRecord) -> dict:
         label: {stack: row["virtual_ms"] for stack, row in stacks.items()}
         for label, stacks in _datagrid_cells(record).items()
     }
-
-
-def _datagrid_artifacts(record: RunRecord) -> dict[str, str]:
-    from repro.experiments.schema import dumps_canonical
-
-    report = {"config": dict(record.config), "cells": _datagrid_cells(record)}
-    return {"BENCH_datagrid.json": dumps_canonical(report)}
 
 
 def _datagrid_claims(record: RunRecord) -> list[str]:
@@ -1265,7 +1216,6 @@ DATAGRID = ExperimentSpec(
         Predicate("shared_logic", "identical decisions and charges everywhere", fn=_datagrid_claims),
     ),
     to_figure=_datagrid_figure,
-    extra_artifacts=_datagrid_artifacts,
     config={
         "workload": "replica staging",
         "registrations": 3,
@@ -1294,23 +1244,6 @@ def _loadgen_figure(record: RunRecord) -> dict:
             values = cell_values(record, stack=stack, rate=rate)
             figure[stack][f"{values['offered_per_sec']:g}/s"] = values["latency"]["p95_ms"]
     return figure
-
-
-def _loadgen_artifacts(record: RunRecord) -> dict[str, str]:
-    from repro.experiments.schema import dumps_canonical
-
-    report = {
-        "title": "Open-loop counter load: offered load vs latency (X.509, distributed)",
-        "config": dict(record.config),
-        "stacks": {
-            stack: [
-                cell_values(record, stack=stack, rate=rate)
-                for rate in _LOADGEN_RATES
-            ]
-            for stack in _DATAGRID_STACKS
-        },
-    }
-    return {"BENCH_loadgen.json": dumps_canonical(report)}
 
 
 def _loadgen_claims(record: RunRecord) -> list[str]:
@@ -1369,7 +1302,6 @@ LOADGEN = ExperimentSpec(
         Predicate("trajectory_claims", "accounting, saturation and queue growth", fn=_loadgen_claims),
     ),
     to_figure=_loadgen_figure,
-    extra_artifacts=_loadgen_artifacts,
     config={
         "requests_per_point": loadgen.BENCH_REQUESTS,
         "process": loadgen.PROCESS,
@@ -1409,12 +1341,6 @@ def _msgperf_figure(record: RunRecord) -> dict:
     }
 
 
-def _msgperf_artifacts(record: RunRecord) -> dict[str, str]:
-    from repro.experiments.schema import dumps_canonical
-
-    return {"BENCH_msgperf.json": dumps_canonical(cell_values(record, run="all"))}
-
-
 def _msgperf_claims(record: RunRecord) -> list[str]:
     from repro.bench.msgperf import signature_cache_misses
 
@@ -1450,7 +1376,6 @@ MSGPERF = ExperimentSpec(
     ),
     gate="shape",
     to_figure=_msgperf_figure,
-    extra_artifacts=_msgperf_artifacts,
     source="repro.bench.msgperf.run_msgperf",
 )
 

@@ -4,8 +4,8 @@ One vocabulary for every benchmark: a spec expands to a grid of *cells*
 (one per combination of axis values), each cell run produces a
 :class:`CellResult`, and a completed grid is a :class:`RunRecord` — the
 thing that is serialized under ``results/experiments/``, diffed by the
-regression gate, rendered into ``results/*.csv`` / ``BENCH_*.json``
-artifacts, and compiled into ``EXPERIMENTS.md``.
+regression gate, rendered into the ``results/*.csv`` figure tables, and
+compiled into ``EXPERIMENTS.md``.
 
 Serialization is deliberately boring: everything is plain JSON with
 sorted keys and a fixed indent, so a record regenerated from the same
@@ -146,7 +146,7 @@ class RunRecord:
 
 
 def dumps_canonical(payload) -> str:
-    """The one serializer every record/artifact JSON goes through: sorted
+    """The one serializer every record JSON goes through: sorted
     keys, indent 2, trailing newline — so identical data is identical
     bytes."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -163,9 +163,9 @@ def evaluate_invariants(spec: "ExperimentSpec", record: RunRecord) -> list[str]:
 # -- the spec ----------------------------------------------------------------
 
 #: How the gate treats a spec's numbers.  ``exact``: virtual-clock
-#: deterministic — fresh numbers must match the record bit-for-bit, and a
-#: reversed cross-cell ordering is named as such.  ``shape``: wall-clock —
-#: only the invariants are re-evaluated; absolute numbers may drift.
+#: deterministic — fresh numbers must match the record bit-for-bit.
+#: ``shape``: wall-clock — only the structure and the invariants are
+#: re-checked; absolute numbers may drift.
 GATE_KINDS = ("exact", "shape")
 
 
@@ -185,11 +185,11 @@ class ExperimentSpec:
     invariants: tuple[Invariant, ...] = ()
     #: Gate mode (see GATE_KINDS).
     gate: str = "exact"
-    #: Builds the legacy figure table (series → {column → value}) from a
+    #: Builds the figure table (series → {column → value}) from a
     #: record; used for the ``results/*.csv`` artifact and the docs table.
     to_figure: Callable[[RunRecord], dict] | None = None
-    #: Extra artifacts beyond the default figure CSV:
-    #: ``fn(record) -> {relative filename: exact file text}``.
+    #: A second table beyond the default figure CSV (fig6's messages and
+    #: signatures): ``fn(record) -> {relative filename: exact file text}``.
     extra_artifacts: Callable[[RunRecord], dict[str, str]] | None = None
     #: Included in ``--smoke`` (must be cheap: a few hundred ms).
     smoke: bool = False

@@ -2,8 +2,9 @@
 
 A ServiceGroup's entries are themselves WS-Resources (destroying an entry
 removes the member).  Membership content rules constrain what an entry's
-content document may contain.  Grid-in-a-Box's WSRF ResourceAllocationService
-uses a ServiceGroup to track the VO's available Exec/Data service pairs.
+content document may contain.  The default Grid-in-a-Box VO allocates from
+a ``hosts`` collection; ``ServiceGroupAllocationService`` is the variant
+that tracks the VO's Exec/Data service pairs in a ServiceGroup.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ from repro.wsrf.programming import ResourceField, WsResourceService, resource_pr
 from repro.wsrf.properties import ResourcePropertiesMixin
 from repro.xmllib import QName, element, ns, parse_xml, serialize, text_of
 from repro.xmllib.element import XmlElement
-from repro.xmllib.xpath import xpath_literal
-
-#: Path of the member address URI that ``entries_for_member`` queries.
-MEMBER_PATH = "//f:member_uri"
-MEMBER_PREFIXES = {"f": ns.WSRF_FIELDS}
 
 
 class actions:
@@ -40,9 +36,6 @@ class ServiceGroupService(ResourcePropertiesMixin, ResourceLifetimeMixin, WsReso
     resource_ns = ns.WSRF_SG
 
     member_address = ResourceField(str, "")
-    #: Bare address URI, duplicated out of the EPR so member lookups can
-    #: match it without parsing serialized EPR XML.
-    member_uri = ResourceField(str, "")
     content_xml = ResourceField(str, "")
 
     def __init__(self, home, content_rules: tuple[QName, ...] = ()):
@@ -69,7 +62,6 @@ class ServiceGroupService(ResourcePropertiesMixin, ResourceLifetimeMixin, WsReso
             )
         entry_epr = self.create_resource(
             member_address=serialize(member.to_xml()),
-            member_uri=member.address,
             content_xml=serialize(content) if content is not None else "",
         )
         return element(
@@ -92,7 +84,7 @@ class ServiceGroupService(ResourcePropertiesMixin, ResourceLifetimeMixin, WsReso
         wrapper.append(parse_xml(self.content_xml))
         return wrapper
 
-    # -- service-side helpers (used by Grid-in-a-Box) -------------------------------
+    # -- service-side helpers (used by ServiceGroupAllocationService) ---------------
 
     def members(self) -> list[tuple[str, EndpointReference, XmlElement | None]]:
         """All live entries as (entry key, member EPR, content)."""
@@ -105,27 +97,3 @@ class ServiceGroupService(ResourcePropertiesMixin, ResourceLifetimeMixin, WsReso
             content = parse_xml(content_xml) if content_xml else None
             out.append((key, epr, content))
         return out
-
-    def remove_entry(self, entry_key: str) -> None:
-        self.home.destroy(entry_key)
-
-    def entries_for_member(self, address: str) -> list[str]:
-        """Entry keys registered for a member address.
-
-        A charged query over the group's entries.  An address that cannot
-        be spelled as an XPath literal (contains both quote kinds) falls
-        back to loading the members list.
-        """
-        literal = xpath_literal(address)
-        if literal is not None:
-            return self.home.query_keys(
-                f"{MEMBER_PATH}[. = {literal}]", MEMBER_PREFIXES
-            )
-        return [key for key, epr, _ in self.members() if epr.address == address]
-
-    def remove_member(self, address: str) -> int:
-        """Destroy every entry for ``address``; returns how many were removed."""
-        keys = self.entries_for_member(address)
-        for key in keys:
-            self.home.destroy(key)
-        return len(keys)

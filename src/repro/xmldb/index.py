@@ -1,14 +1,13 @@
 """Secondary indexes and the query planner for the XML database.
 
 The paper's central performance caveat is that both stacks are "dominated
-by the XML database": every WS-ServiceGroup membership read and every
-Grid-in-a-Box lookup is a full-collection XPath scan, so the metadata path
-degrades linearly as the VO grows.  That is a missing-index problem, not a
-stack problem.
+by the XML database": every Grid-in-a-Box host and job lookup is a
+full-collection XPath scan, so the metadata path degrades linearly as the
+VO grows.  That is a missing-index problem, not a stack problem.
 
 An :class:`XPathIndex` is declared on a collection for one simple,
-predicate-free location path (``//giab:Host``, a service-group member
-address, a subscription source).  It maps the *string value* of every node
+predicate-free location path (``//giab:Host`` in the xmldb bench corpus,
+a replica's storage host in the datagrid catalog).  It maps the *string value* of every node
 the path selects to the set of document keys containing it, and is
 maintained incrementally by the collection on every
 insert/update/upsert/delete.

@@ -2,10 +2,13 @@
 
 These are the cheap halves of the regression gate: no re-measurement,
 just the committed ``results/experiments/*.json`` checked for fingerprint
-skew, invariant violations and artifact/docs staleness.  The expensive
-half (fresh runs diffed cell-by-cell) lives in ``scripts/check.sh`` via
+skew, invariant violations and artifact/docs staleness, and ``results/``
+checked for files nothing writes.  The expensive half (fresh runs diffed
+cell-by-cell) lives in ``scripts/check.sh`` via
 ``python -m repro experiments --check``.
 """
+
+import os
 
 import pytest
 
@@ -35,6 +38,22 @@ def test_committed_artifacts_render_from_the_record(name):
     spec = get_spec(name)
     record = ENGINE.load_record(name)
     assert check_artifacts(spec, record, DEFAULT_RESULTS_DIR) == []
+
+
+def test_results_holds_only_what_is_written():
+    """Each spec's record, what renders from it, and the conformance
+    summary: a file no spec publishes any more cannot linger."""
+    expected = {"conformance_summary.json"}
+    for spec in all_specs():
+        expected.add(f"experiments/{spec.name}.json")
+        expected.update(spec.artifacts(ENGINE.load_record(spec.name)))
+    present = {
+        os.path.relpath(os.path.join(root, name), DEFAULT_RESULTS_DIR).replace(os.sep, "/")
+        for root, _dirs, files in os.walk(DEFAULT_RESULTS_DIR)
+        for name in files
+    }
+    assert sorted(present - expected) == [], "files in results/ that nothing writes"
+    assert sorted(expected - present) == [], "files missing from results/"
 
 
 def test_experiments_md_is_fresh():

@@ -107,30 +107,8 @@ class TestEntryLifetime:
         deployment.network.kernel.run(until=deadline + 1)
         assert group.members() == []
 
-    def test_remove_entry_helper(self, rig):
-        _, group, client = rig
-        entry = add_member(client, group, content=element("{urn:giab}HostInfo", "n"))
-        group.remove_entry(entry.property(RESOURCE_ID))
-        assert group.members() == []
 
 class TestMemberLookup:
-    def test_entries_for_member_scan(self, rig):
-        _, group, client = rig
-        add_member(client, group, "soap://n1/App/Exec", element("{urn:giab}HostInfo", "n1"))
-        entry = add_member(client, group, "soap://n2/App/Exec", element("{urn:giab}HostInfo", "n2"))
-        keys = group.entries_for_member("soap://n2/App/Exec")
-        assert keys == [entry.property(RESOURCE_ID)]
-        assert group.entries_for_member("soap://nowhere/X") == []
-
-    def test_remove_member(self, rig):
-        _, group, client = rig
-        add_member(client, group, "soap://n1/App/Exec", element("{urn:giab}HostInfo", "n1"))
-        add_member(client, group, "soap://n2/App/Exec", element("{urn:giab}HostInfo", "n2"))
-        assert group.remove_member("soap://n1/App/Exec") == 1
-        assert group.remove_member("soap://n1/App/Exec") == 0
-        addresses = {epr.address for _, epr, _ in group.members()}
-        assert addresses == {"soap://n2/App/Exec"}
-
     def test_entry_rps_expose_member(self, rig):
         from repro.wsrf.properties import actions as rp_actions
 
